@@ -11,15 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Pattern, Vec2
+from .core import Pattern
 from .presentation import (
     GridPresentation,
     _dims_ascending,
+    _key_pattern,
     _occurrence_scan,
+    _window_codes,
     block_lcms,
     cut_spans,
     period_lattice,
-    rect_window_keys,
 )
 from .order import TilingFamily, equivalence_classes
 
@@ -42,29 +43,29 @@ def isolating_pattern(f: TilingFamily, name: str) -> Pattern | None:
     others = [f.presentation(o) for o in f.names() if o not in mine]
     bw, bh = _search_bounds(f, x)
     # a single class covering x at the full bound covers every sub-window too
-    full = rect_window_keys(x, bw, bh)
+    full = _window_codes(x, bw, bh)
     for y in others:
-        if full <= rect_window_keys(y, bw, bh):
+        if full <= _window_codes(y, bw, bh):
             return None
     lat = None
+    # coded keys sort like the windows' x-major state tuples
     for w, h in _dims_ascending(bw, bh):
-        cands = set(rect_window_keys(x, w, h))
+        cands = set(_window_codes(x, w, h))
         for y in others:
-            cands -= rect_window_keys(y, w, h)
+            cands -= _window_codes(y, w, h)
             if not cands:
                 break
         for key in sorted(cands):
-            p = Pattern(x.alphabet, {Vec2(dx, dy): key[dx * h + dy] for dx in range(w) for dy in range(h)})
-            positions, dirs = _occurrence_scan(x, p)
+            positions, dirs = _occurrence_scan(x, w, h, {key})
             if len(positions) == 1 and not dirs:
-                return p
+                return _key_pattern(x.alphabet, key, h)
             if lat is None:
                 lat = period_lattice(x)
             base = positions[0]
             if all(lat.contains(pos - base) for pos in positions[1:]) and all(
                 lat.contains(d) for d in dirs
             ):
-                return p
+                return _key_pattern(x.alphabet, key, h)
     return None
 
 

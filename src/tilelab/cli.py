@@ -348,7 +348,8 @@ def _load_family(ts: TileSet, dirpath, window: int) -> TilingFamily:
 def _dot(h) -> str:
     lines = ["digraph extraction {", "  rankdir=BT;"]
     for i, cls in enumerate(h.classes):
-        label = "=".join(cls)
+        # member names are file stems, which may hold quotes and backslashes
+        label = "=".join(cls).replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  c{i} [label="{label}"];')
     for lo, hi in h.covers:
         lines.append(f"  c{lo} -> c{hi};")

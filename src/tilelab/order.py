@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import networkx as nx
 
 from .core import TileSet
-from .presentation import GridPresentation, block_lcms, cut_spans, is_valid, rect_window_keys
+from .presentation import GridPresentation, _window_codes, block_lcms, cut_spans, is_valid
 
 
 def preceq(x: GridPresentation, y: GridPresentation, n: int) -> bool:
@@ -23,7 +23,7 @@ def preceq(x: GridPresentation, y: GridPresentation, n: int) -> bool:
         raise ValueError("alphabet mismatch")
     if n < 1:
         raise ValueError("window size must be positive")
-    return rect_window_keys(x, n, n) <= rect_window_keys(y, n, n)
+    return _window_codes(x, n, n) <= _window_codes(y, n, n)
 
 
 def saturation_window(g: GridPresentation) -> int:

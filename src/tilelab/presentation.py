@@ -6,14 +6,26 @@ band structure can ask (window languages, occurrence counts, period lattices,
 recurrence type) reduces to finite scans whose ranges come from the band
 spans plus one block period of margin on each side; the scan-range arguments
 are spelled out at the functions that rely on them.
+
+Every scan reads one index per presentation (`_Analysis`): a cell grid
+filled block by block, and per run height h its column codes, the h cells
+above a grid cell read as one base-k number (k the alphabet size, the lowest
+cell the most significant digit).  A code is an exact integer, not a hash,
+and distinct runs of one height get distinct codes, so the tuple of a w x h
+window's w column codes names its content exactly.  Codes of equal length
+order like their digit strings, so coded keys sort exactly as the x-major
+state tuples they stand for: a search that takes the least candidate picks
+the same window either way, and only the window returned is decoded.
 """
 
 from __future__ import annotations
 
 import weakref
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from math import lcm
+from itertools import chain, compress, count
+from math import isqrt, lcm
 
 from .core import Alphabet, Pattern, TileSet, Vec2, _as_vec, lcm_all
 
@@ -93,16 +105,19 @@ def cut_spans(g: GridPresentation) -> Vec2:
 
 
 class _Analysis:
-    """Per-presentation scan cache: materialized cell grid plus window-key sets."""
+    """Per-presentation scan index: a materialized cell grid, its column codes
+    per run height, and the coded window-key sets asked for so far."""
 
-    __slots__ = ("g", "lcms", "keys", "grid", "bounds")
+    __slots__ = ("g", "lcms", "k", "keys", "grid", "bounds", "codes")
 
     def __init__(self, g: GridPresentation):
         self.g = g
         self.lcms = block_lcms(g)
+        self.k = len(g.alphabet)
         self.keys: dict[tuple[int, int], frozenset] = {}
-        self.grid: list[list[int]] | None = None
+        self.grid: list[list[int]] = []
         self.bounds: tuple[int, int, int, int] | None = None
+        self.codes: list[list[list[int]]] = []  # codes[h - 1][column], for the current grid
 
     def corner_box(self, w: int, h: int) -> tuple[range, range]:
         """Corner ranges whose w x h windows realize every window content.
@@ -124,35 +139,63 @@ class _Analysis:
         return xs, ys
 
     def ensure(self, x0: int, x1: int, y0: int, y1: int) -> None:
-        """Grow the materialized grid to cover [x0, x1] x [y0, y1]."""
+        """Grow the materialized grid to cover [x0, x1] x [y0, y1].
+
+        Columns are filled band by band from the blocks' own columns; within
+        an x-band, columns that agree modulo the band's lcm are one shared
+        list (grid columns are never mutated)."""
         if self.bounds is not None:
             bx0, bx1, by0, by1 = self.bounds
             if bx0 <= x0 and x1 <= bx1 and by0 <= y0 and y1 <= by1:
                 return
-            x0, x1 = min(x0, bx0), max(x1, bx1)
-            y0, y1 = min(y0, by0), max(y1, by1)
+            x0, x1, y0, y1 = min(x0, bx0), max(x1, bx1), min(y0, by0), max(y1, by1)
         g = self.g
-        self.grid = [[cell_at(g, Vec2(x, y)) for y in range(y0, y1 + 1)] for x in range(x0, x1 + 1)]
-        self.bounds = (x0, x1, y0, y1)
+        xedges = [x0, *(c for c in g.xcuts if x0 < c <= x1), x1 + 1]
+        yedges = [y0, *(c for c in g.ycuts if y0 < c <= y1), y1 + 1]
+        grid: list[list[int]] = []
+        for xlo, xhi in zip(xedges, xedges[1:]):
+            blocks = g.regions[bisect_right(g.xcuts, xlo)]
+            u = lcm_all(b.u for b in blocks)
+            shared: dict[int, list[int]] = {}
+            for x in range(xlo, xhi):
+                col = shared.get(x % u)
+                if col is None:
+                    col = shared[x % u] = []
+                    for lo, hi in zip(yedges, yedges[1:]):
+                        b = blocks[bisect_right(g.ycuts, lo)]
+                        s, n = lo % b.v, hi - lo
+                        col += (b.data[x % b.u] * ((s + n) // b.v + 1))[s:s + n]
+                grid.append(col)
+        self.grid, self.bounds, self.codes = grid, (x0, x1, y0, y1), []
 
-    def state(self, x: int, y: int) -> int:
-        return self.grid[x - self.bounds[0]][y - self.bounds[2]]
+    def column_codes(self, h: int) -> list[list[int]]:
+        """codes[i][j]: the h cells from grid[i][j] upward as one base-k
+        number, the lowest cell its most significant digit; built from the
+        height h - 1 codes as code * k + next cell."""
+        codes, grid, k = self.codes, self.grid, self.k
+        if not codes:
+            codes.append(grid)
+        while len(codes) < h:
+            t, memo = len(codes), {}
+            for prev, col in zip(codes[-1], grid):
+                if id(col) not in memo:
+                    memo[id(col)] = [c * k + s for c, s in zip(prev, col[t:])]
+            codes.append([memo[id(col)] for col in grid])
+        return codes[h - 1]
+
+    def windows(self, w: int, h: int, xs: range, ys: range):
+        """Coded keys of the w x h windows with corners xs x ys, x-major in
+        the corners: each key is the tuple of the window's w column codes."""
+        self.ensure(xs[0], xs[-1] + w - 1, ys[0], ys[-1] + h - 1)
+        bx0, _, by0, _ = self.bounds
+        j0, i0 = ys[0] - by0, xs[0] - bx0
+        cols = [c[j0:j0 + len(ys)] for c in self.column_codes(h)[i0:i0 + len(xs) + w - 1]]
+        return chain.from_iterable(zip(*cols[i:i + w]) for i in range(len(xs)))
 
     def rect_keys(self, w: int, h: int) -> frozenset:
         got = self.keys.get((w, h))
-        if got is not None:
-            return got
-        xs, ys = self.corner_box(w, h)
-        self.ensure(xs.start, xs.stop - 1 + w - 1, ys.start, ys.stop - 1 + h - 1)
-        grid, (bx0, _, by0, _) = self.grid, self.bounds
-        found = set()
-        for cx in xs:
-            i = cx - bx0
-            for cy in ys:
-                j = cy - by0
-                found.add(tuple(grid[i + dx][j + dy] for dx in range(w) for dy in range(h)))
-        got = frozenset(found)
-        self.keys[(w, h)] = got
+        if got is None:
+            got = self.keys[(w, h)] = frozenset(self.windows(w, h, *self.corner_box(w, h)))
         return got
 
 
@@ -167,6 +210,21 @@ def _ana(g: GridPresentation) -> _Analysis:
     return a
 
 
+def _decode(key: tuple[int, ...], h: int, k: int) -> tuple[int, ...]:
+    """x-major state tuple of a coded window key of height h over k states."""
+    return tuple(code // k ** (h - 1 - dy) % k for code in key for dy in range(h))
+
+
+def _key_pattern(alphabet: Alphabet, key: tuple[int, ...], h: int) -> Pattern:
+    flat = _decode(key, h, len(alphabet))
+    return Pattern(alphabet, {Vec2(dx, dy): flat[dx * h + dy] for dx in range(len(key)) for dy in range(h)})
+
+
+def _window_codes(g: GridPresentation, w: int, h: int) -> frozenset:
+    """All distinct w x h window contents as coded keys (see the module docstring)."""
+    return _ana(g).rect_keys(w, h)
+
+
 def window_at(g: GridPresentation, corner, n: int) -> Pattern:
     corner = _as_vec(corner)
     if n < 1:
@@ -177,16 +235,16 @@ def window_at(g: GridPresentation, corner, n: int) -> Pattern:
 
 def rect_window_keys(g: GridPresentation, w: int, h: int) -> frozenset:
     """All distinct w x h window contents, as x-major state tuples."""
-    return _ana(g).rect_keys(w, h)
+    if w < 1 or h < 1:
+        raise ValueError("window size must be positive")
+    k = len(g.alphabet)
+    return frozenset(_decode(key, h, k) for key in _window_codes(g, w, h))
 
 
 def pattern_set(g: GridPresentation, n: int) -> set[Pattern]:
     if n < 1:
         raise ValueError("window size must be positive")
-    out = set()
-    for key in rect_window_keys(g, n, n):
-        out.add(Pattern(g.alphabet, {Vec2(dx, dy): key[dx * n + dy] for dx in range(n) for dy in range(n)}))
-    return out
+    return {_key_pattern(g.alphabet, key, n) for key in _window_codes(g, n, n)}
 
 
 @dataclass(frozen=True)
@@ -204,36 +262,27 @@ class Infinite:
     pass
 
 
-def _occurrence_scan(g: GridPresentation, p: Pattern) -> tuple[list[Vec2], set[Vec2]]:
-    """Occurrence corners of p within the canonical scan box, plus the set of
-    band-repeat directions witnessed by occurrences lying inside an unbounded
-    band (those generate infinite occurrence families)."""
-    if p.alphabet != g.alphabet:
-        raise ValueError("alphabet mismatch")
-    p = p.normalize()
-    w, h = p.extents()
+def _occurrence_scan(g: GridPresentation, w: int, h: int, match) -> tuple[list[Vec2], set[Vec2]]:
+    """Corners within the canonical scan box of the w x h windows whose coded
+    key is in match, plus the set of band-repeat directions witnessed by
+    occurrences lying inside an unbounded band (those generate infinite
+    occurrence families)."""
     a = _ana(g)
     ux, vy = a.lcms
     xs, ys = a.corner_box(w, h)
-    a.ensure(xs.start, xs.stop - 1 + w - 1, ys.start, ys.stop - 1 + h - 1)
-    grid, (bx0, _, by0, _) = a.grid, a.bounds
-    cells = [(c.x, c.y, s) for c, s in sorted(p.cells.items())]
-    positions: list[Vec2] = []
+    n = len(ys)
+    hits = compress(count(), map(match.__contains__, a.windows(w, h, xs, ys)))
+    positions = [Vec2(xs[t // n], ys[t % n]) for t in hits]
     dirs: set[Vec2] = set()
-    for cx in xs:
-        i = cx - bx0
-        for cy in ys:
-            j = cy - by0
-            if all(grid[i + dx][j + dy] == s for dx, dy, s in cells):
-                positions.append(Vec2(cx, cy))
-                if not g.xcuts or cx + w - 1 < g.xcuts[0]:
-                    dirs.add(Vec2(-ux, 0))
-                if not g.xcuts or cx >= g.xcuts[-1]:
-                    dirs.add(Vec2(ux, 0))
-                if not g.ycuts or cy + h - 1 < g.ycuts[0]:
-                    dirs.add(Vec2(0, -vy))
-                if not g.ycuts or cy >= g.ycuts[-1]:
-                    dirs.add(Vec2(0, vy))
+    for cx, cy in positions:
+        if not g.xcuts or cx + w - 1 < g.xcuts[0]:
+            dirs.add(Vec2(-ux, 0))
+        if not g.xcuts or cx >= g.xcuts[-1]:
+            dirs.add(Vec2(ux, 0))
+        if not g.ycuts or cy + h - 1 < g.ycuts[0]:
+            dirs.add(Vec2(0, -vy))
+        if not g.ycuts or cy >= g.ycuts[-1]:
+            dirs.add(Vec2(0, vy))
     return positions, dirs
 
 
@@ -243,10 +292,20 @@ def occurrences(g: GridPresentation, p: Pattern):
     Every occurrence either straddles a cut on both axes (then it lies in the
     scan box literally) or sits inside an unbounded band (then band repetition
     yields infinitely many copies, and a representative lands in the box).
+    p occurs wherever its bounding-box window has one of the contents that
+    agree with p on p's cells.
     """
-    positions, dirs = _occurrence_scan(g, p)
-    if not positions:
+    if p.alphabet != g.alphabet:
+        raise ValueError("alphabet mismatch")
+    p = p.normalize()
+    w, h = p.extents()
+    cells = [(c.x * h + c.y, s) for c, s in p.cells.items()]
+    k = len(g.alphabet)
+    flats = ((key, _decode(key, h, k)) for key in _window_codes(g, w, h))
+    match = {key for key, flat in flats if all(flat[i] == s for i, s in cells)}
+    if not match:
         return Zero()
+    positions, dirs = _occurrence_scan(g, w, h, match)
     if dirs:
         return Infinite()
     return Finite(len(positions))
@@ -254,23 +313,19 @@ def occurrences(g: GridPresentation, p: Pattern):
 
 def is_valid(g: GridPresentation, ts: TileSet) -> bool:
     """Whether the presented configuration is a tiling for ts: every shape
-    window content (all realized in the scan box) must be allowed."""
+    window content (all realized in the scan box) must be allowed.  Each
+    distinct bounding-box content is read once, projected to the shape."""
     if ts.alphabet != g.alphabet:
         raise ValueError("alphabet mismatch")
-    a = _ana(g)
-    for cells, keys in zip(ts.shape_cells, ts.allowed_keys):
+    k = len(g.alphabet)
+    for cells, allowed in zip(ts.shape_cells, ts.allowed_keys):
         w = max(c.x for c in cells) + 1
         h = max(c.y for c in cells) + 1
-        xs, ys = a.corner_box(w, h)
-        a.ensure(xs.start, xs.stop - 1 + w - 1, ys.start, ys.stop - 1 + h - 1)
-        grid, (bx0, _, by0, _) = a.grid, a.bounds
-        offs = [(c.x, c.y) for c in cells]
-        for cx in xs:
-            i = cx - bx0
-            for cy in ys:
-                j = cy - by0
-                if tuple(grid[i + dx][j + dy] for dx, dy in offs) not in keys:
-                    return False
+        idx = [c.x * h + c.y for c in cells]
+        for key in _window_codes(g, w, h):
+            flat = _decode(key, h, k)
+            if tuple(flat[i] for i in idx) not in allowed:
+                return False
     return True
 
 
@@ -307,6 +362,21 @@ def transpose(g: GridPresentation) -> GridPresentation:
     return GridPresentation(g.alphabet, g.ycuts, g.xcuts, regions)
 
 
+def _agree(a1: _Analysis, a2: _Analysis, xcuts, ycuts, ux: int, vy: int, v: Vec2) -> bool:
+    """Whether a1's plane at p equals a2's plane at p - v for every p in the
+    comparison box of planes cut at xcuts and ycuts that repeat with (ux, vy)
+    outside them: the cut span plus one lcm and one cell of margin per side.
+    Compared column slice by column slice on the materialized grids."""
+    xs = range(min(xcuts) - 1 - ux, max(xcuts) + ux + 1) if xcuts else range(0, ux)
+    ys = range(min(ycuts) - 1 - vy, max(ycuts) + vy + 1) if ycuts else range(0, vy)
+    a1.ensure(xs[0], xs[-1], ys[0], ys[-1])
+    a2.ensure(xs[0] - v.x, xs[-1] - v.x, ys[0] - v.y, ys[-1] - v.y)
+    (b1x, _, b1y, _), (b2x, _, b2y, _) = a1.bounds, a2.bounds
+    j1, j2, n = ys[0] - b1y, ys[0] - v.y - b2y, len(ys)
+    g1, g2 = a1.grid, a2.grid
+    return all(g1[x - b1x][j1:j1 + n] == g2[x - v.x - b2x][j2:j2 + n] for x in xs)
+
+
 def equal(g1: GridPresentation, g2: GridPresentation) -> bool:
     """Exact configuration equality via one shared scan box.
 
@@ -318,11 +388,15 @@ def equal(g1: GridPresentation, g2: GridPresentation) -> bool:
         raise ValueError("alphabet mismatch")
     l1, l2 = block_lcms(g1), block_lcms(g2)
     ux, vy = lcm(l1.x, l2.x), lcm(l1.y, l2.y)
-    xcuts = sorted(set(g1.xcuts) | set(g2.xcuts))
-    ycuts = sorted(set(g1.ycuts) | set(g2.ycuts))
-    xs = range(xcuts[0] - 1 - ux, xcuts[-1] + ux + 1) if xcuts else range(0, ux)
-    ys = range(ycuts[0] - 1 - vy, ycuts[-1] + vy + 1) if ycuts else range(0, vy)
-    return all(cell_at(g1, Vec2(x, y)) == cell_at(g2, Vec2(x, y)) for x in xs for y in ys)
+    return _agree(_ana(g1), _ana(g2), g1.xcuts + g2.xcuts, g1.ycuts + g2.ycuts, ux, vy, Vec2(0, 0))
+
+
+def _is_period(g: GridPresentation, v: Vec2) -> bool:
+    """equal(g, shift(g, v)), read off g's own grid: the shifted plane has
+    the same block lcms and its cuts moved by v."""
+    a = _ana(g)
+    xcuts, ycuts = g.xcuts + tuple(c + v.x for c in g.xcuts), g.ycuts + tuple(c + v.y for c in g.ycuts)
+    return _agree(a, a, xcuts, ycuts, *a.lcms, v)
 
 
 @dataclass(frozen=True)
@@ -364,12 +438,12 @@ def period_lattice(g: GridPresentation) -> PeriodLattice:
     generators then range over divisors of the block lcms.
     """
     ux, vy = block_lcms(g)
-    has_h = equal(g, shift(g, Vec2(ux, 0)))
-    has_v = equal(g, shift(g, Vec2(0, vy)))
+    has_h = _is_period(g, Vec2(ux, 0))
+    has_v = _is_period(g, Vec2(0, vy))
     if has_v:
-        c0 = next(d for d in _divisors(vy) if equal(g, shift(g, Vec2(0, d))))
+        c0 = next(d for d in _divisors(vy) if _is_period(g, Vec2(0, d)))
     if has_h and not has_v:
-        a0 = next(d for d in _divisors(ux) if equal(g, shift(g, Vec2(d, 0))))
+        a0 = next(d for d in _divisors(ux) if _is_period(g, Vec2(d, 0)))
         return PeriodLattice(1, (Vec2(a0, 0),))
     if has_v and not has_h:
         return PeriodLattice(1, (Vec2(0, c0),))
@@ -377,7 +451,7 @@ def period_lattice(g: GridPresentation) -> PeriodLattice:
         return PeriodLattice(0, ())
     for a in _divisors(ux):
         for b in range(c0):
-            if equal(g, shift(g, Vec2(a, b))):
+            if _is_period(g, Vec2(a, b)):
                 return PeriodLattice(2, (Vec2(a, b), Vec2(0, c0)))
     raise AssertionError("unreachable: (ux, 0) is a period")
 
@@ -395,9 +469,12 @@ class TypeB:
 
 
 def _dims_ascending(wmax: int, hmax: int):
-    dims = [(w, h) for w in range(1, wmax + 1) for h in range(1, hmax + 1)]
-    dims.sort(key=lambda d: (d[0] * d[1], max(d), d[0]))
-    return dims
+    """Every (w, h) with w <= wmax and h <= hmax, lazily, ordered by area,
+    then longer side, then w."""
+    for area in range(1, wmax * hmax + 1):
+        ws = {d for e in range(1, isqrt(area) + 1) if area % e == 0 for d in (e, area // e)}
+        dims = [(w, area // w) for w in ws if w <= wmax and area // w <= hmax]
+        yield from sorted(dims, key=lambda d: (max(d), d[0]))
 
 
 def type_of(g: GridPresentation):
@@ -423,16 +500,12 @@ def type_of(g: GridPresentation):
         cys = range(y1 - h + 1, ys_)
         if not cxs or not cys:
             continue
-        a.ensure(cxs.start, cxs.stop - 1 + w - 1, cys.start, cys.stop - 1 + h - 1)
-        grid, (bx0, _, by0, _) = a.grid, a.bounds
-        seen = set()
-        for cx in cxs:
-            i = cx - bx0
-            for cy in cys:
-                j = cy - by0
-                seen.add(tuple(grid[i + dx][j + dy] for dx in range(w) for dy in range(h)))
-        for key in sorted(seen):
-            p = Pattern(g.alphabet, {Vec2(dx, dy): key[dx * h + dy] for dx in range(w) for dy in range(h)})
-            if occurrences(g, p) == Finite(1):
-                return TypeB(p)
+        # Corners of the scan box outside cxs x cys put the window inside an
+        # unbounded band, where it recurs; so a window occurs exactly once iff
+        # it has a corner in cxs x cys and no other corner in the box.
+        straddling = set(a.windows(w, h, cxs, cys))
+        counts = Counter(filter(straddling.__contains__, a.windows(w, h, *a.corner_box(w, h))))
+        once = [key for key, n in counts.items() if n == 1]
+        if once:
+            return TypeB(_key_pattern(g.alphabet, min(once), h))
     raise AssertionError("trivial lattice admits a once-occurring window within the bound")

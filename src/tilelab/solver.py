@@ -194,8 +194,9 @@ def weak_periodic_witness(ts: TileSet, maxq: int, cycle_cap: int = 20000) -> Gri
                 pres = _witness_presentation(oriented, c1, c2, path, q)
                 if flipped:
                     pres = transpose(pres)
-                lat = period_lattice(pres)
-                assert is_valid(pres, ts), "witness construction produced an invalid tiling"
-                assert lat.rank == 1, "witness construction lost weak periodicity"
+                if not is_valid(pres, ts):
+                    raise RuntimeError("witness construction produced an invalid tiling")
+                if period_lattice(pres).rank != 1:
+                    raise RuntimeError("witness construction lost weak periodicity")
                 return pres
     return None

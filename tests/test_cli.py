@@ -250,6 +250,18 @@ def test_order_dot(capsys, tmp_path):
     assert (node["a1"], node["b1"]) not in edges
 
 
+def test_order_dot_escapes_labels(capsys, tmp_path):
+    fam = tmp_path / "fam"
+    fam.mkdir()
+    for stem, new in (("mono_red", 'say "red"'), ("mono_green", "back\\slash")):
+        (fam / f"{new}.pres").write_text((FAMILY_DIR / f"{stem}.pres").read_text())
+    dot = tmp_path / "h.dot"
+    rc, _ = run(capsys, "order", STRIPES, str(fam), "--window", "6", "--dot", str(dot))
+    assert rc == 0
+    labels = re.findall(r'\[label="((?:[^"\\]|\\.)*)"\];', dot.read_text())
+    assert sorted(labels) == ["back\\\\slash", 'say \\"red\\"']
+
+
 def test_cb_json(capsys):
     rc, out = run(capsys, "cb", STRIPES, FAMILY, "--window", "6")
     assert rc == 0

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from oracle import brute
 from conftest import CORPUS, corpus_planes
 from tilelab.cli import parse_presentation
-from tilelab.core import Pattern, Vec2
+from tilelab.core import Alphabet, Pattern, TileSet, Vec2
+from tilelab.order import preceq
 from tilelab.presentation import (
     Block,
     Finite,
@@ -12,6 +15,7 @@ from tilelab.presentation import (
     TypeA,
     TypeB,
     Zero,
+    _dims_ascending,
     block_lcms,
     cell_at,
     cut_spans,
@@ -243,3 +247,138 @@ def test_type_b_witness_minimality(members):
         for key in rect_window_keys(g, 1, 1):
             cell = Pattern(g.alphabet, {Vec2(0, 0): key[0]})
             assert occurrences(g, cell) != Finite(1)
+
+
+def test_dims_ascending_is_the_sorted_product():
+    for wmax in range(1, 8):
+        for hmax in range(1, 8):
+            want = sorted(((w, h) for w in range(1, wmax + 1) for h in range(1, hmax + 1)),
+                          key=lambda d: (d[0] * d[1], max(d), d[0]))
+            assert list(_dims_ascending(wmax, hmax)) == want
+
+
+# ------------------------------------------- engine against the oracle
+
+def random_plane(rng):
+    """(presentation, plane fn): 1-4 states, cuts in [-3, 3] on 0, 1 or 2
+    axes, blocks up to 3 x 3.  The fn is read off the raw draws, not off
+    the presentation."""
+    k = rng.randint(1, 4)
+    cut_axes = rng.sample("xy", rng.randint(0, 2))
+    xcuts = sorted(rng.sample(range(-3, 4), rng.randint(1, 2))) if "x" in cut_axes else []
+    ycuts = sorted(rng.sample(range(-3, 4), rng.randint(1, 2))) if "y" in cut_axes else []
+    raw = []
+    for _ in range(len(xcuts) + 1):
+        col = []
+        for _ in range(len(ycuts) + 1):
+            u, v = rng.randint(1, 3), rng.randint(1, 3)
+            col.append(tuple(tuple(rng.randrange(k) for _ in range(v)) for _ in range(u)))
+        raw.append(col)
+
+    def fn(x, y):
+        data = raw[sum(c <= x for c in xcuts)][sum(c <= y for c in ycuts)]
+        return data[x % len(data)][y % len(data[0])]
+
+    regions = tuple(tuple(Block(len(d), len(d[0]), d) for d in col) for col in raw)
+    al = Alphabet(tuple(f"s{i}" for i in range(k)))
+    return GridPresentation(al, tuple(xcuts), tuple(ycuts), regions), fn
+
+
+# Every window content of these planes has a copy with its corner within
+# [-14, 13]; finite occurrences of patterns up to 3 x 3 have corners in
+# [-5, 2], and reach 22 exceeds reach 14 by more than any lcm (at most 6).
+REACH, NEAR, FAR = 16, 14, 22
+PLANE_SEEDS = range(24)
+
+
+def oracle_occurrences(fn, cells):
+    near = brute.occurrence_corners(fn, cells, NEAR)
+    far = brute.occurrence_corners(fn, cells, FAR)
+    if len(far) > len(near):
+        return Infinite()
+    return Finite(len(far)) if far else Zero()
+
+
+@pytest.mark.parametrize("seed", PLANE_SEEDS)
+def test_engine_window_keys_match_oracle(seed):
+    g, fn = random_plane(random.Random(seed))
+    grid = brute.box_grid(fn, REACH)
+    for w in range(1, 6):
+        for h in range(1, 6):
+            assert rect_window_keys(g, w, h) == brute.window_keys(grid, w, h), (w, h)
+
+
+SPARSE_SHAPES = (
+    ((0, 0), (1, 1)),
+    ((0, 1), (1, 0)),
+    ((0, 0), (2, 1)),
+    ((0, 0), (0, 2), (1, 1)),
+)
+
+
+@pytest.mark.parametrize("seed", PLANE_SEEDS)
+def test_engine_is_valid_sparse_shapes_match_oracle(seed):
+    rng = random.Random(seed)
+    g, fn = random_plane(rng)
+    grid = brute.box_grid(fn, REACH)
+    constraints, patterns = [], []
+    for n, offsets in enumerate(rng.sample(SPARSE_SHAPES, 2)):
+        seen = {tuple(grid[x + dx][y + dy] for dx, dy in offsets)
+                for x in range(len(grid) - 2) for y in range(len(grid) - 2)}
+        allowed = sorted(seen)
+        if n == 0 and len(allowed) > 1 and rng.random() < 0.5:
+            allowed.remove(rng.choice(allowed))
+        constraints.append((offsets, frozenset(allowed)))
+        patterns += [Pattern(g.alphabet, dict(zip(offsets, combo))) for combo in allowed]
+    ts = TileSet.from_allowed(g.alphabet, patterns)
+    assert is_valid(g, ts) == brute.grid_ok(constraints, grid)
+
+
+def test_engine_occurrences_match_oracle():
+    kinds = set()
+    for seed in PLANE_SEEDS:
+        rng = random.Random(seed)
+        g, fn = random_plane(rng)
+        k = len(g.alphabet)
+        for _ in range(12):
+            w, h = rng.randint(1, 3), rng.randint(1, 3)
+            cx, cy = rng.randint(-6, 4), rng.randint(-6, 4)
+            if rng.random() < 0.25:
+                cells = {(dx, dy): rng.randrange(k) for dx in range(w) for dy in range(h)}
+            else:
+                cells = {(dx, dy): fn(cx + dx, cy + dy) for dx in range(w) for dy in range(h)}
+            kept = rng.sample(sorted(cells), rng.randint(1, len(cells)))
+            mx, my = min(x for x, _ in kept), min(y for _, y in kept)
+            cells = {(x - mx, y - my): cells[x, y] for x, y in kept}
+            got = occurrences(g, Pattern(g.alphabet, cells))
+            assert got == oracle_occurrences(fn, cells), (seed, cells)
+            kinds.add(type(got))
+    assert kinds == {Zero, Finite, Infinite}
+
+
+@pytest.mark.parametrize("seed", PLANE_SEEDS)
+def test_engine_type_of_witness_occurs_once(seed):
+    g, fn = random_plane(random.Random(seed))
+    t = type_of(g)
+    assert isinstance(t, TypeB) == (period_lattice(g).rank == 0)
+    if isinstance(t, TypeB):
+        cells = {(c.x, c.y): s for c, s in t.witness.cells.items()}
+        assert oracle_occurrences(fn, cells) == Finite(1)
+
+
+@pytest.mark.parametrize("seed", PLANE_SEEDS)
+def test_engine_preceq_matches_oracle(seed):
+    rng = random.Random(seed)
+    g1, fn1 = random_plane(rng)
+    while True:
+        g2, fn2 = random_plane(rng)
+        if g2.alphabet == g1.alphabet:
+            break
+    vx, vy = rng.randint(-3, 3), rng.randint(-3, 3)
+    pairs = [(g1, fn1, g2, fn2), (g2, fn2, g1, fn1),
+             (g1, fn1, shift(g1, (vx, vy)), lambda x, y: fn1(x - vx, y - vy))]
+    for n in range(1, 5):
+        for ga, fa, gb, fb in pairs:
+            want = (brute.window_keys(brute.box_grid(fa, REACH), n, n)
+                    <= brute.window_keys(brute.box_grid(fb, REACH), n, n))
+            assert preceq(ga, gb, n) == want, n

@@ -3,7 +3,8 @@ import pytest
 from oracle import brute
 from conftest import CHECKER_H, CHECKER_V, STRIPES_H, STRIPES_V
 from tilelab.core import Alphabet, TileSet, TorusTiling, Vec2, check_torus
-from tilelab.presentation import is_valid, period_lattice
+from tilelab import solver
+from tilelab.presentation import PeriodLattice, is_valid, period_lattice
 from tilelab.solver import (
     Empty,
     PeriodicFound,
@@ -88,6 +89,17 @@ def test_weak_periodic_witness_stripes(stripes):
     lat = period_lattice(g)
     assert lat.rank == 1
     assert lat.generators == ((0, 1),)
+
+
+@pytest.mark.parametrize("name, fake, msg", [
+    ("is_valid", lambda g, ts: False, "invalid tiling"),
+    ("period_lattice", lambda g: PeriodLattice(0, ()), "lost weak periodicity"),
+])
+def test_weak_periodic_witness_checks_raise(stripes, monkeypatch, name, fake, msg):
+    # the checks on each constructed witness must hold under python -O too
+    monkeypatch.setattr(solver, name, fake)
+    with pytest.raises(RuntimeError, match=msg):
+        weak_periodic_witness(stripes, 1)
 
 
 def test_weak_periodic_witness_checkerboard(checkerboard):
