@@ -38,8 +38,7 @@ def isolating_pattern(f: TilingFamily, name: str) -> Pattern | None:
     own plane form one period-lattice orbit; None when no such pattern exists
     within the search bounds."""
     x = f.presentation(name)
-    classes = equivalence_classes(f)
-    mine = next(cls for cls in classes if name in cls)
+    mine = next(cls for cls in equivalence_classes(f) if name in cls)
     others = [f.presentation(o) for o in f.names() if o not in mine]
     bw, bh = _search_bounds(f, x)
     # a single class covering x at the full bound covers every sub-window too
@@ -77,9 +76,7 @@ def isolated_classes(f: TilingFamily) -> tuple[tuple[str, ...], ...]:
 
 def derivative(f: TilingFamily) -> TilingFamily:
     """Family minus all isolated classes, removed simultaneously."""
-    gone = {name for cls in isolated_classes(f) for name in cls}
-    keep = [(n, p) for n, p in f.members if n not in gone]
-    return TilingFamily(f.tileset, keep, f.window, validate=False)
+    return f._without({name for cls in isolated_classes(f) for name in cls})
 
 
 @dataclass
@@ -94,14 +91,13 @@ class RankReport:
 
 def ranks(f: TilingFamily) -> RankReport:
     assigned: dict[str, int] = {}
-    cur = f
-    round_no = 0
-    while cur.names():
-        round_no += 1
-        gone = {name for cls in isolated_classes(cur) for name in cls}
-        if not gone:
+    rounds = 0
+    while f.names():
+        rest = derivative(f)
+        kept = set(rest.names())
+        if len(kept) == len(f.names()):
             break
-        for name in gone:
-            assigned[name] = round_no
-        cur = TilingFamily(cur.tileset, [(n, p) for n, p in cur.members if n not in gone], cur.window, validate=False)
-    return RankReport(assigned, max(assigned.values(), default=0), cur.names())
+        rounds += 1
+        assigned.update((n, rounds) for n in f.names() if n not in kept)
+        f = rest
+    return RankReport(assigned, rounds, f.names())

@@ -16,17 +16,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import product
 from pathlib import Path
 
 from .cb import ranks
-from .core import Alphabet, Pattern, TileSet, TorusTiling, Vec2
+from .core import Alphabet, Pattern, TileSet, TorusTiling, Vec2, _complement
 from .lang import extensible_squares
 from .order import TilingFamily, hasse, level_of, maximal_classes, minimal_classes, preceq
 from .presentation import Block, GridPresentation, TypeB, is_valid, period_lattice, type_of
 from .solver import Empty, PeriodicFound, classify, enumerate_torus, weak_periodic_witness
-
-FORBIDDEN_COMPLEMENT_LIMIT = 1 << 16
 
 
 class ParseError(ValueError):
@@ -124,12 +121,10 @@ def parse_tileset(path) -> TileSet:
         by_shape.setdefault(q.domain(), set()).add(q.key())
     allowed = []
     for shape, bad in by_shape.items():
-        cells = sorted(shape)
-        if len(alphabet) ** len(cells) > FORBIDDEN_COMPLEMENT_LIMIT:
-            raise ParseError(path, 1, "forbidden-mode complement too large")
-        for combo in product(range(len(alphabet)), repeat=len(cells)):
-            if combo not in bad:
-                allowed.append(Pattern(alphabet, dict(zip(cells, combo))))
+        try:
+            allowed += _complement(alphabet, sorted(shape), bad)
+        except ValueError:
+            raise ParseError(path, 1, "forbidden-mode complement too large") from None
     return TileSet.from_allowed(alphabet, allowed)
 
 

@@ -258,20 +258,22 @@ class TileSet:
         return TileSet(self.alphabet, tuple(shapes[i] for i in order), tuple(allowed[i] for i in order))
 
 
-def to_forbidden(ts: TileSet, limit: int = 1 << 22) -> dict[frozenset[Vec2], frozenset[Pattern]]:
-    """Complement each allowed set inside Q^shape. Guarded: refuses huge complements."""
-    out = {}
-    for shape, cells, keys in zip(ts.shapes, ts.shape_cells, ts.allowed_keys):
-        total = len(ts.alphabet) ** len(shape)
-        if total > limit:
-            raise ValueError(f"complement of size {total} over shape of {len(shape)} cells refused")
-        bad = []
-        states = list(range(len(ts.alphabet)))
-        for combo in product(states, repeat=len(cells)):
-            if combo not in keys:
-                bad.append(Pattern(ts.alphabet, dict(zip(cells, combo))))
-        out[shape] = frozenset(bad)
-    return out
+_COMPLEMENT_LIMIT = 1 << 16  # largest state cube a complement may enumerate
+
+
+def _complement(alphabet: Alphabet, cells, keys, limit: int = _COMPLEMENT_LIMIT) -> list[Pattern]:
+    """Patterns on the sorted cells whose state tuple is not in keys. Refuses huge cubes."""
+    total = len(alphabet) ** len(cells)
+    if total > limit:
+        raise ValueError(f"complement of size {total} over shape of {len(cells)} cells refused")
+    combos = product(range(len(alphabet)), repeat=len(cells))
+    return [Pattern(alphabet, dict(zip(cells, c))) for c in combos if c not in keys]
+
+
+def to_forbidden(ts: TileSet, limit: int = _COMPLEMENT_LIMIT) -> dict[frozenset[Vec2], frozenset[Pattern]]:
+    """Complement each allowed set inside Q^shape. Guarded: refuses cubes over limit."""
+    shapes = zip(ts.shapes, ts.shape_cells, ts.allowed_keys)
+    return {shape: frozenset(_complement(ts.alphabet, c, k, limit)) for shape, c, k in shapes}
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,7 @@ order is a property of the planes, not of a window parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from functools import cache, cached_property
 
 from .core import TileSet
 from .presentation import GridPresentation, _window_codes, block_lcms, cut_spans, is_valid
@@ -79,18 +78,54 @@ class TilingFamily:
     def lt(self, a: str, b: str) -> bool:
         return self.le(a, b) and not self.le(b, a)
 
+    @cached_property
+    def _classes(self) -> tuple[tuple[str, ...], ...]:
+        """Kept apart from _order: isolation rounds read classes only."""
+        classes: list[list[str]] = []
+        for name in self.names():
+            for cls in classes:
+                if self.le(name, cls[0]) and self.le(cls[0], name):
+                    cls.append(name)
+                    break
+            else:
+                classes.append([name])
+        return tuple(map(tuple, classes))
+
+    @cached_property
+    def _order(self) -> "_Preorder":
+        return _Preorder(self)
+
+    def _without(self, gone) -> "TilingFamily":
+        """The family less the gone members, sharing this family's comparison
+        cache: a comparison depends only on the window and its pair."""
+        keep = [(n, p) for n, p in self.members if n not in gone]
+        sub = TilingFamily(self.tileset, keep, self.window, validate=False)
+        sub._le = self._le
+        return sub
+
+
+class _Preorder:
+    """The strict extraction order between a family's classes (above[i]
+    holds each class over class i, below[j] each class under j) and every
+    class's level, read once from the family's comparison cache."""
+
+    def __init__(self, f: TilingFamily):
+        up = [[a is not b and f.le(a[0], b[0]) for b in f._classes] for a in f._classes]
+        k = range(len(up))
+        self.index = {name: i for i, cls in enumerate(f._classes) for name in cls}
+        self.above = [{j for j in k if up[i][j] and not up[j][i]} for i in k]
+        self.below = [{i for i in k if j in self.above[i]} for j in k]
+
+        @cache
+        def depth(j: int) -> int:
+            return 1 + max((depth(i) for i in self.below[j]), default=-1)
+
+        self.levels = [depth(j) for j in k]
+
 
 def equivalence_classes(f: TilingFamily) -> tuple[tuple[str, ...], ...]:
     """Mutual-extraction classes, ordered by first appearance, members in family order."""
-    classes: list[list[str]] = []
-    for name in f.names():
-        for cls in classes:
-            if f.le(name, cls[0]) and f.le(cls[0], name):
-                cls.append(name)
-                break
-        else:
-            classes.append([name])
-    return tuple(tuple(c) for c in classes)
+    return f._classes
 
 
 @dataclass(frozen=True)
@@ -102,51 +137,22 @@ class HasseDiagram:
     covers: tuple[tuple[int, int], ...]
 
 
-def _strict_edges(f: TilingFamily, classes) -> list[tuple[int, int]]:
-    reps = [cls[0] for cls in classes]
-    return [
-        (i, j)
-        for i in range(len(reps))
-        for j in range(len(reps))
-        if i != j and f.lt(reps[i], reps[j])
-    ]
-
-
 def hasse(f: TilingFamily) -> HasseDiagram:
-    classes = equivalence_classes(f)
-    g = nx.DiGraph()
-    g.add_nodes_from(range(len(classes)))
-    g.add_edges_from(_strict_edges(f, classes))
-    reduced = nx.transitive_reduction(g)
-    return HasseDiagram(classes, tuple(sorted(reduced.edges())))
+    """Transitive reduction of the strict relation (Aho, Garey and Ullman,
+    1972): i < j is a cover when no class lies strictly between them."""
+    o = f._order
+    covers = sorted((i, j) for i, up in enumerate(o.above) for j in up if not up & o.below[j])
+    return HasseDiagram(f._classes, tuple(covers))
 
 
 def minimal_classes(f: TilingFamily) -> tuple[tuple[str, ...], ...]:
-    classes = equivalence_classes(f)
-    uppers = {j for _, j in _strict_edges(f, classes)}
-    return tuple(cls for i, cls in enumerate(classes) if i not in uppers)
+    return tuple(c for c, down in zip(f._classes, f._order.below) if not down)
 
 
 def maximal_classes(f: TilingFamily) -> tuple[tuple[str, ...], ...]:
-    classes = equivalence_classes(f)
-    strict = _strict_edges(f, classes)
-    lowers = {i for i, _ in strict}
-    return tuple(cls for i, cls in enumerate(classes) if i not in lowers)
+    return tuple(c for c, up in zip(f._classes, f._order.above) if not up)
 
 
 def level_of(f: TilingFamily, name: str) -> int:
     """Length of the longest strict chain strictly below name's class."""
-    classes = equivalence_classes(f)
-    idx = next((i for i, cls in enumerate(classes) if name in cls), None)
-    if idx is None:
-        raise KeyError(name)
-    strict = set(_strict_edges(f, classes))
-    lower = {j: [i for i in range(len(classes)) if (i, j) in strict] for j in range(len(classes))}
-    memo: dict[int, int] = {}
-
-    def depth(j: int) -> int:
-        if j not in memo:
-            memo[j] = 1 + max((depth(i) for i in lower[j]), default=-1)
-        return memo[j]
-
-    return depth(idx)
+    return f._order.levels[f._order.index[name]]

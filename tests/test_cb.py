@@ -107,3 +107,31 @@ def test_residue_when_nothing_isolates(stripes, members):
 def test_unknown_member(family6):
     with pytest.raises(KeyError):
         isolating_pattern(family6, "nope")
+
+
+def test_derivatives_reuse_parent_comparisons(family6, monkeypatch):
+    import tilelab.order
+    from tilelab.order import hasse, level_of, maximal_classes, minimal_classes
+
+    f = TilingFamily(family6.tileset, family6.members, family6.window, validate=False)
+    name_of = {id(p): n for n, p in f.members}
+    real = tilelab.order.preceq
+    calls = []
+
+    def counting(x, y, n):
+        calls.append((name_of[id(x)], name_of[id(y)]))
+        return real(x, y, n)
+
+    monkeypatch.setattr(tilelab.order, "preceq", counting)
+    # everything the order subcommand asks: each pair reaches preceq at most once
+    h = hasse(f)
+    minimal_classes(f), maximal_classes(f)
+    for cls in h.classes:
+        level_of(f, cls[0])
+    n = len(f.names())
+    assert len(calls) <= n * (n - 1)
+    assert len(set(calls)) == len(calls)
+    compared, calls[:] = set(calls), []
+    hasse(derivative(f))
+    ranks(f)
+    assert not compared & set(calls)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from oracle import brute
@@ -141,3 +143,50 @@ def test_levels(family6, oracle_order):
 def test_unknown_name_raises(family6):
     with pytest.raises(KeyError):
         level_of(family6, "nope")
+
+
+def _oracle_classes(names, le):
+    """Mutual-inclusion classes in first-appearance order, members in family order."""
+    classes = {tuple(b for b in names if le[(a, b)] and le[(b, a)]) for a in names}
+    return sorted(classes, key=lambda cls: names.index(cls[0]))
+
+
+def _check_against_oracle(f, le):
+    names = list(f.names())
+    le = {(a, b): le[(a, b)] for a in names for b in names}
+    strict = brute.strict_from(le)
+    assert list(equivalence_classes(f)) == _oracle_classes(names, le)
+    h = hasse(f)
+    got = sorted((a, b) for i, j in h.covers for a in h.classes[i] for b in h.classes[j])
+    assert got == brute.order_covers(names, strict)
+    assert sorted(n for c in minimal_classes(f) for n in c) == brute.order_minimal(names, strict)
+    assert sorted(n for c in maximal_classes(f) for n in c) == brute.order_maximal(names, strict)
+    assert {n: level_of(f, n) for n in names} == brute.order_levels(names, strict)
+
+
+def test_preorder_matches_oracle_on_random_subfamilies(family6):
+    from tilelab.cb import derivative
+
+    fns = {n: fn for n, (fn, _, _) in PLANES.items()}
+    windows = {n: max(6, max(xs, ys) + 3) for n, (_, xs, ys) in PLANES.items()}
+    base = brute.le_matrix(fns, windows, 16)
+    rng = random.Random(20080)
+    for _ in range(6):
+        picked = rng.sample(family6.names(), rng.randint(5, 14))
+        # a translate has the same window language, so the oracle reads the
+        # copy through its original's row and column
+        twin = picked[0]
+        members = [(n, family6.presentation(n)) for n in picked[1:]]
+        copy = shift(family6.presentation(twin), (2, -1))
+        for member in ((twin, family6.presentation(twin)), (twin + "_shifted", copy)):
+            members.insert(rng.randrange(len(members) + 1), member)
+        orig = {n: n.removesuffix("_shifted") for n, _ in members}
+        le = {(a, b): base[(orig[a], orig[b])] for a in orig for b in orig}
+        f = TilingFamily(family6.tileset, members, 6)
+        _check_against_oracle(f, le)
+        d = derivative(f)
+        fresh = TilingFamily(d.tileset, d.members, d.window, validate=False)
+        assert equivalence_classes(d) == equivalence_classes(fresh)
+        assert hasse(d) == hasse(fresh)
+        assert [level_of(d, n) for n in d.names()] == [level_of(fresh, n) for n in fresh.names()]
+        _check_against_oracle(d, le)
