@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .cb import ranks
-from .core import Alphabet, Pattern, TileSet, TorusTiling, Vec2, _complement
+from .core import Alphabet, Pattern, TileSet, TorusTiling, Vec2, to_forbidden
 from .lang import extensible_squares
 from .order import TilingFamily, hasse, level_of, maximal_classes, minimal_classes, preceq
 from .presentation import Block, GridPresentation, TypeB, is_valid, period_lattice, type_of
@@ -111,21 +111,15 @@ def parse_tileset(path) -> TileSet:
         i += 1
     if alphabet is None:
         raise ParseError(path, 1, "missing alphabet line")
-    patterns = [Pattern(alphabet, c) for c in raw_patterns]
-    if (mode or "allowed") == "allowed":
-        return TileSet.from_allowed(alphabet, patterns)
-    # forbidden mode: complement each declared shape inside the full cube
-    by_shape: dict[frozenset, set] = {}
-    for p in patterns:
-        q = p.normalize()
-        by_shape.setdefault(q.domain(), set()).add(q.key())
-    allowed = []
-    for shape, bad in by_shape.items():
-        try:
-            allowed += _complement(alphabet, sorted(shape), bad)
-        except ValueError:
-            raise ParseError(path, 1, "forbidden-mode complement too large") from None
-    return TileSet.from_allowed(alphabet, allowed)
+    ts = TileSet.from_allowed(alphabet, [Pattern(alphabet, c) for c in raw_patterns])
+    if mode != "forbidden":
+        return ts
+    # forbidden mode: the declared patterns are complemented inside each shape's cube
+    try:
+        forbidden = to_forbidden(ts)
+    except ValueError:
+        raise ParseError(path, 1, "forbidden-mode complement too large") from None
+    return TileSet.from_allowed(alphabet, [p for pats in forbidden.values() for p in pats])
 
 
 def parse_presentation(path, alphabet: Alphabet) -> GridPresentation:
@@ -211,18 +205,21 @@ def emit_tileset(ts: TileSet) -> str:
     return "\n".join(out) + "\n"
 
 
+def _rows(block, alphabet: Alphabet) -> list[str]:
+    """Column-major block[x][y] as rows of tokens, top row first."""
+    return [" ".join(alphabet.tokens[s] for s in row) for row in reversed(list(zip(*block)))]
+
+
 def emit_presentation(g: GridPresentation) -> str:
     out = ["presentation"]
     if g.xcuts:
         out.append("xcuts " + " ".join(str(c) for c in g.xcuts))
     if g.ycuts:
         out.append("ycuts " + " ".join(str(c) for c in g.ycuts))
-    toks = g.alphabet.tokens
     for ix, col in enumerate(g.regions):
         for iy, b in enumerate(col):
             out.append(f"region {ix} {iy} {b.u} {b.v}")
-            for y in range(b.v - 1, -1, -1):
-                out.append(" ".join(toks[b.data[x][y]] for x in range(b.u)))
+            out.extend(_rows(b.data, g.alphabet))
     return "\n".join(out) + "\n"
 
 
@@ -236,22 +233,14 @@ def _pattern_json(p: Pattern) -> dict:
 
 
 def _torus_json(t: TorusTiling, alphabet: Alphabet) -> dict:
-    toks = alphabet.tokens
-    rows = [
-        " ".join(toks[t.block[x][y]] for x in range(t.p)) for y in range(t.q - 1, -1, -1)
-    ]
-    return {"p": t.p, "q": t.q, "rows": rows}
+    return {"p": t.p, "q": t.q, "rows": _rows(t.block, alphabet)}
 
 
 def _presentation_json(g: GridPresentation) -> dict:
-    toks = g.alphabet.tokens
     regions = []
     for ix, col in enumerate(g.regions):
         for iy, b in enumerate(col):
-            rows = [
-                " ".join(toks[b.data[x][y]] for x in range(b.u)) for y in range(b.v - 1, -1, -1)
-            ]
-            regions.append({"ix": ix, "iy": iy, "u": b.u, "v": b.v, "rows": rows})
+            regions.append({"ix": ix, "iy": iy, "u": b.u, "v": b.v, "rows": _rows(b.data, g.alphabet)})
     return {"xcuts": list(g.xcuts), "ycuts": list(g.ycuts), "regions": regions}
 
 
@@ -462,10 +451,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError) as e:  # ParseError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

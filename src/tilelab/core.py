@@ -294,10 +294,9 @@ class TorusTiling:
         return self.block[x % self.p][y % self.q]
 
     def translate_key(self, dx: int, dy: int) -> tuple:
-        return tuple(
-            tuple(self.block[(x + dx) % self.p][(y + dy) % self.q] for y in range(self.q))
-            for x in range(self.p)
-        )
+        """The block read from (dx, dy): key[x][y] == state_at(x + dx, y + dy)."""
+        dx, dy = dx % self.p, dy % self.q
+        return tuple(col[dy:] + col[:dy] for col in self.block[dx:] + self.block[:dx])
 
     def canonical_key(self) -> tuple:
         return min(self.translate_key(dx, dy) for dx in range(self.p) for dy in range(self.q))

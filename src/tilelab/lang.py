@@ -8,30 +8,21 @@ from typing import Iterator
 from .core import Pattern, TileSet, Vec2
 
 
-def _anchor_checks(ts: TileSet, width: int, height: int, wrap_q: int | None = None):
+def _anchor_checks(ts: TileSet, width: int, height: int, wrap_x: bool = False, wrap_y: bool = False):
     """Constraint windows over a width x height grid, grouped by last cell assigned.
 
     Cells are indexed x-major ((x, y) -> x * height + y) and assigned in that
     order, so a window can be tested as soon as its highest-index cell gets a
-    value.  With wrap_q set, y coordinates wrap modulo wrap_q and anchors range
-    over every row.
+    value.  A wrapped axis reads its coordinates modulo its length and anchors
+    windows at every position; an open axis anchors only windows that fit.
     """
     groups: list[list[tuple[tuple[int, ...], frozenset]]] = [[] for _ in range(width * height)]
     for cells, keys in zip(ts.shape_cells, ts.allowed_keys):
-        w = max(c.x for c in cells) + 1
-        h = max(c.y for c in cells) + 1
-        if w > width:
-            continue
-        if wrap_q is None:
-            ys = range(height - h + 1) if h <= height else range(0)
-        else:
-            ys = range(wrap_q)
-        for ax in range(width - w + 1):
+        xs = range(width if wrap_x else width - max(c.x for c in cells))
+        ys = range(height if wrap_y else height - max(c.y for c in cells))
+        for ax in xs:
             for ay in ys:
-                if wrap_q is None:
-                    idxs = tuple((ax + c.x) * height + (ay + c.y) for c in cells)
-                else:
-                    idxs = tuple((ax + c.x) * height + (ay + c.y) % wrap_q for c in cells)
+                idxs = tuple((ax + c.x) % width * height + (ay + c.y) % height for c in cells)
                 groups[max(idxs)].append((idxs, keys))
     return groups
 
@@ -39,8 +30,9 @@ def _anchor_checks(ts: TileSet, width: int, height: int, wrap_q: int | None = No
 def _fill(nstates: int, size: int, groups, prefix: dict[int, int] | None = None) -> Iterator[list[int]]:
     """Depth-first fill of a flat cell array, branching states in ascending order.
 
-    prefix pins cells to fixed values; windows whose cells are all pinned are
-    assumed valid and skipped by the caller.
+    prefix pins cells to fixed values; a pinned cell is not branched on, but the
+    windows it completes are checked like any other, so a fill whose pinned
+    cells already break a window yields nothing.
     """
     cells = [-1] * size
     if prefix:
@@ -68,6 +60,13 @@ def _fill(nstates: int, size: int, groups, prefix: dict[int, int] | None = None)
         cells[i] = -1
 
     yield from walk(0)
+
+
+def _grids(ts: TileSet, width: int, height: int, wrap_x: bool = False, wrap_y: bool = False):
+    """Valid width x height grids as column tuples (grid[x][y]), in lexicographic order."""
+    groups = _anchor_checks(ts, width, height, wrap_x, wrap_y)
+    for flat in _fill(len(ts.alphabet), width * height, groups):
+        yield tuple(tuple(flat[x * height:(x + 1) * height]) for x in range(width))
 
 
 def iter_admissible_squares(ts: TileSet, n: int) -> Iterator[Pattern]:
@@ -130,31 +129,19 @@ class TransferGraph:
 
 
 def build_transfer_graph(ts: TileSet, q: int, wrap: bool) -> TransferGraph:
+    """Vertices from one cols-wide fill, edges from one (cols + 1)-wide fill.
+
+    A valid (cols + 1)-wide strip m is exactly an edge from m[:-1] to m[1:]:
+    each end's windows are a subset of the strip's, so both ends are vertices.
+    Strips come in lexicographic order, so edges come in (i, j) order.
+    """
     if q < 1:
         raise ValueError("q must be positive")
     cols = max(ts.hextent - 1, 1)
-    wrap_q = q if wrap else None
-
-    groups = _anchor_checks(ts, cols, q, wrap_q)
-    vertices = []
-    for flat in _fill(len(ts.alphabet), cols * q, groups):
-        vertices.append(tuple(tuple(flat[x * q + y] for y in range(q)) for x in range(cols)))
-
-    # Edge check revalidates every anchor of the merged strip; vertices are
-    # known-valid so only windows crossing the new column can actually fail,
-    # but the uniform check keeps wrap bookkeeping in one place.
-    mgroups = _anchor_checks(ts, cols + 1, q, wrap_q)
-    flat_groups = [c for g in mgroups for c in g]
-    edges = []
-    for i, u in enumerate(vertices):
-        for j, v in enumerate(vertices):
-            if u[1:] != v[:-1]:
-                continue
-            merged = u + (v[-1],)
-            flat = [merged[x][y] for x in range(cols + 1) for y in range(q)]
-            if all(tuple(flat[k] for k in idxs) in keys for idxs, keys in flat_groups):
-                edges.append((i, j))
-    return TransferGraph(q, wrap, cols, tuple(vertices), tuple(edges))
+    vertices = tuple(_grids(ts, cols, q, wrap_y=wrap))
+    index = {v: i for i, v in enumerate(vertices)}
+    edges = tuple((index[m[:-1]], index[m[1:]]) for m in _grids(ts, cols + 1, q, wrap_y=wrap))
+    return TransferGraph(q, wrap, cols, vertices, edges)
 
 
 def _mat_mul(a, b):

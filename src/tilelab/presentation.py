@@ -77,6 +77,15 @@ class GridPresentation:
                     for s in data_col:
                         if not 0 <= s < len(self.alphabet):
                             raise ValueError("block state out of alphabet range")
+        # every scan looks its index up by value (_ANALYSES): hash the fields once
+        object.__setattr__(self, "_hash", hash((self.alphabet, self.xcuts, self.ycuts, self.regions)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild rather than carry _hash: string hashes differ between processes
+        return GridPresentation, (self.alphabet, self.xcuts, self.ycuts, self.regions)
 
 
 def uniform(alphabet: Alphabet, state: int) -> GridPresentation:

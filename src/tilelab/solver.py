@@ -7,8 +7,8 @@ from itertools import islice
 
 import networkx as nx
 
-from .core import TileSet, TorusTiling, Vec2, check_torus
-from .lang import TransferGraph, _anchor_checks, _fill, build_transfer_graph, iter_admissible_squares
+from .core import TileSet, TorusTiling
+from .lang import _grids, build_transfer_graph, iter_admissible_squares
 from .presentation import Block, GridPresentation, is_valid, period_lattice, transpose
 
 
@@ -34,18 +34,6 @@ def refute(ts: TileSet, n: int) -> bool:
     return next(iter_admissible_squares(ts, n), None) is None
 
 
-def _torus_blocks(ts: TileSet, p: int, q: int):
-    # like _anchor_checks but wrapped on both axes
-    groups = [[] for _ in range(p * q)]
-    for cells, keys in zip(ts.shape_cells, ts.allowed_keys):
-        for ax in range(p):
-            for ay in range(q):
-                idxs = tuple(((ax + c.x) % p) * q + (ay + c.y) % q for c in cells)
-                groups[max(idxs)].append((idxs, keys))
-    for flat in _fill(len(ts.alphabet), p * q, groups):
-        yield tuple(tuple(flat[x * q + y] for y in range(q)) for x in range(p))
-
-
 def enumerate_torus(ts: TileSet, maxp: int, maxq: int) -> list[TorusTiling]:
     """All torus tilings with p <= maxp, q <= maxq, one representative per
     translation orbit, keeping only blocks whose minimal periods are exactly
@@ -53,7 +41,7 @@ def enumerate_torus(ts: TileSet, maxp: int, maxq: int) -> list[TorusTiling]:
     out = []
     for p in range(1, maxp + 1):
         for q in range(1, maxq + 1):
-            for block in _torus_blocks(ts, p, q):
+            for block in _grids(ts, p, q, wrap_x=True, wrap_y=True):
                 t = TorusTiling(p, q, block)
                 if t.h_period() != p or t.v_period() != q:
                     continue
@@ -79,7 +67,7 @@ def classify(ts: TileSet, budget: int):
         key=lambda s: (max(s), s[0], s[1]),
     )
     for p, q in sizes:
-        block = next(_torus_blocks(ts, p, q), None)
+        block = next(_grids(ts, p, q, wrap_x=True, wrap_y=True), None)
         if block is not None:
             return PeriodicFound(TorusTiling(p, q, block))
     return Unknown(budget)
