@@ -119,7 +119,7 @@ def parse_tileset(path) -> TileSet:
         forbidden = to_forbidden(ts)
     except ValueError:
         raise ParseError(path, 1, "forbidden-mode complement too large") from None
-    return TileSet.from_allowed(alphabet, [p for pats in forbidden.values() for p in pats])
+    return TileSet(alphabet, ts.shapes, tuple(forbidden[shape] for shape in ts.shapes))
 
 
 def parse_presentation(path, alphabet: Alphabet) -> GridPresentation:

@@ -8,21 +8,22 @@ from typing import Iterator
 from .core import Pattern, TileSet, Vec2
 
 
-def _anchor_checks(ts: TileSet, width: int, height: int, wrap_x: bool = False, wrap_y: bool = False):
+def _anchor_checks(ts: TileSet, width: int, height: int, wrap_y: bool = False):
     """Constraint windows over a width x height grid, grouped by last cell assigned.
 
     Cells are indexed x-major ((x, y) -> x * height + y) and assigned in that
     order, so a window can be tested as soon as its highest-index cell gets a
-    value.  A wrapped axis reads its coordinates modulo its length and anchors
-    windows at every position; an open axis anchors only windows that fit.
+    value.  Windows are anchored only where they fit horizontally; with
+    wrap_y the grid is a height-periodic cylinder, whose y coordinates are
+    read modulo the height and whose windows are anchored at every row.
     """
     groups: list[list[tuple[tuple[int, ...], frozenset]]] = [[] for _ in range(width * height)]
     for cells, keys in zip(ts.shape_cells, ts.allowed_keys):
-        xs = range(width if wrap_x else width - max(c.x for c in cells))
+        xs = range(width - max(c.x for c in cells))
         ys = range(height if wrap_y else height - max(c.y for c in cells))
         for ax in xs:
             for ay in ys:
-                idxs = tuple((ax + c.x) % width * height + (ay + c.y) % height for c in cells)
+                idxs = tuple((ax + c.x) * height + (ay + c.y) % height for c in cells)
                 groups[max(idxs)].append((idxs, keys))
     return groups
 
@@ -62,9 +63,9 @@ def _fill(nstates: int, size: int, groups, prefix: dict[int, int] | None = None)
     yield from walk(0)
 
 
-def _grids(ts: TileSet, width: int, height: int, wrap_x: bool = False, wrap_y: bool = False):
-    """Valid width x height grids as column tuples (grid[x][y]), in lexicographic order."""
-    groups = _anchor_checks(ts, width, height, wrap_x, wrap_y)
+def _grids(ts: TileSet, width: int, height: int, wrap_y: bool = False):
+    """Valid width x height grids, height-periodic with wrap_y, as column tuples in lexicographic order."""
+    groups = _anchor_checks(ts, width, height, wrap_y)
     for flat in _fill(len(ts.alphabet), width * height, groups):
         yield tuple(tuple(flat[x * height:(x + 1) * height]) for x in range(width))
 
@@ -145,19 +146,24 @@ def build_transfer_graph(ts: TileSet, q: int, wrap: bool) -> TransferGraph:
 
 
 def _mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    """Product of square matrices stored sparsely: row i is {j: entry}, zeros left out."""
+    out: list[dict[int, int]] = [{} for _ in a]
+    for acc, row in zip(out, a):
+        for k, x in row.items():
+            for j, y in b[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+    return out
 
 
 def _mat_pow(a, e):
-    n = len(a)
-    out = [[int(i == j) for j in range(n)] for i in range(n)]
+    out = [{i: 1} for i in range(len(a))]
     base = a
     while e:
         if e & 1:
             out = _mat_mul(out, base)
-        base = _mat_mul(base, base)
         e >>= 1
+        if e:
+            base = _mat_mul(base, base)
     return out
 
 
@@ -166,11 +172,7 @@ def count_torus(ts: TileSet, p: int, q: int) -> int:
     if p < 1:
         raise ValueError("p must be positive")
     g = build_transfer_graph(ts, q, wrap=True)
-    n = len(g.vertices)
-    if n == 0:
-        return 0
-    a = [[0] * n for _ in range(n)]
+    a: list[dict[int, int]] = [{} for _ in g.vertices]
     for i, j in g.edges:
-        a[i][j] += 1
-    ap = _mat_pow(a, p)
-    return sum(ap[i][i] for i in range(n))
+        a[i][j] = a[i].get(j, 0) + 1
+    return sum(row.get(i, 0) for i, row in enumerate(_mat_pow(a, p)))

@@ -8,7 +8,7 @@ from itertools import islice
 import networkx as nx
 
 from .core import TileSet, TorusTiling
-from .lang import _grids, build_transfer_graph, iter_admissible_squares
+from .lang import TransferGraph, build_transfer_graph, iter_admissible_squares
 from .presentation import Block, GridPresentation, is_valid, period_lattice, transpose
 
 
@@ -34,20 +34,57 @@ def refute(ts: TileSet, n: int) -> bool:
     return next(iter_admissible_squares(ts, n), None) is None
 
 
+def _lyndon_blocks(g: TransferGraph, p: int):
+    """Blocks of the closed p-walks on wrap graph g whose index sequence is a
+    Lyndon word (column x: vertex x's first column), in lexicographic order.
+    Fredricksen-Kessler-Maiorana prenecklace search: `period` is that of the
+    longest Lyndon prefix, and no index falls below walk[t - period].
+    Successors are tried in ascending order."""
+    succ = g.successors()
+    walk = [0] * p
+
+    def extend(t: int, period: int):
+        if t == p:
+            if period == p and walk[0] in succ[walk[-1]]:
+                yield tuple(g.vertices[v][0] for v in walk)
+            return
+        for v in succ[walk[t - 1]]:
+            if v >= walk[t - period]:
+                walk[t] = v
+                yield from extend(t + 1, period if v == walk[t - period] else t + 1)
+
+    for walk[0] in range(len(g.vertices)):
+        yield from extend(1, 1)
+
+
+def _least_of_vertical_rotations(block: tuple, q: int) -> bool:
+    """No vertical rotation by 1..q-1 fixes the block or has a smaller horizontal rotation."""
+    for dy in range(1, q):
+        r = tuple(col[dy:] + col[:dy] for col in block)
+        if r == block or any(r[dx:] + r[:dx] < block for dx in range(len(r)) if r[dx] <= block[0]):
+            return False
+    return True
+
+
 def enumerate_torus(ts: TileSet, maxp: int, maxq: int) -> list[TorusTiling]:
     """All torus tilings with p <= maxp, q <= maxq, one representative per
     translation orbit, keeping only blocks whose minimal periods are exactly
-    (p, q); ordered by (p, q), then lexicographically."""
+    (p, q); ordered by (p, q), then lexicographically.
+
+    A p x q torus block is exactly a closed p-walk on the height-q wrap
+    transfer graph.  Vertices are in lexicographic order, so index order on
+    walks is lexicographic order on blocks, and rotating the walk rotates the
+    block horizontally.  A Lyndon walk is thus a block of exact horizontal
+    period p, strictly least among its horizontal rotations; the vertical
+    rotations are checked per surviving walk.
+    """
+    graphs = {q: build_transfer_graph(ts, q, wrap=True) for q in range(1, maxq + 1)}
     out = []
     for p in range(1, maxp + 1):
-        for q in range(1, maxq + 1):
-            for block in _grids(ts, p, q, wrap_x=True, wrap_y=True):
-                t = TorusTiling(p, q, block)
-                if t.h_period() != p or t.v_period() != q:
-                    continue
-                if t.canonical_key() != block:
-                    continue
-                out.append(t)
+        for q, g in graphs.items():
+            for block in _lyndon_blocks(g, p):
+                if _least_of_vertical_rotations(block, q):
+                    out.append(TorusTiling(p, q, block))
     return out
 
 
@@ -55,7 +92,9 @@ def classify(ts: TileSet, budget: int):
     """Bounded emptiness-versus-periodicity ladder.
 
     Refutation first (an empty square size settles it), then torus search in
-    increasing max(p, q); both sides exhaust at the budget.
+    increasing max(p, q); both sides exhaust at the budget.  The least p x q
+    block is least among its rotations, so it is a Lyndon walk unless it
+    repeats a closed walk of a smaller size, which the ladder tried earlier.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
@@ -66,8 +105,11 @@ def classify(ts: TileSet, budget: int):
         ((p, q) for p in range(1, budget + 1) for q in range(1, budget + 1)),
         key=lambda s: (max(s), s[0], s[1]),
     )
+    graphs: dict[int, TransferGraph] = {}
     for p, q in sizes:
-        block = next(_grids(ts, p, q, wrap_x=True, wrap_y=True), None)
+        if q not in graphs:
+            graphs[q] = build_transfer_graph(ts, q, wrap=True)
+        block = next(_lyndon_blocks(graphs[q], p), None)
         if block is not None:
             return PeriodicFound(TorusTiling(p, q, block))
     return Unknown(budget)

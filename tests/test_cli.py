@@ -140,6 +140,17 @@ def test_patterns_count(capsys):
     assert capsys.readouterr().out == "11\n"
 
 
+def test_forbidden_mode_keeps_a_fully_forbidden_shape(capsys, tmp_path):
+    f = tmp_path / "t.tiles"
+    f.write_text("alphabet a b\nmode forbidden\n" + "".join(f"hpair {x} {y}\n" for x in "ab" for y in "ab"))
+    assert parse_tileset(f).shapes == (HSHAPE,)
+    rc = main(["patterns", str(f), "--size", "2", "--count"])
+    assert rc == 0
+    assert capsys.readouterr().out == "0\n"
+    rc, out = run(capsys, "classify", str(f), "--budget", "2")
+    assert (rc, out) == (0, {"outcome": "empty", "square": 2})
+
+
 def test_patterns_json(capsys):
     rc, out = run(capsys, "patterns", STRIPES, "--size", "1")
     assert rc == 0
