@@ -27,17 +27,16 @@ def pair_rules(hpairs, vpairs):
     return tuple(out)
 
 
-def grid_ok(constraints, grid, wrap=False):
+def grid_ok(constraints, grid, wrap=False, wrap_y=False):
     """grid[x][y]; every placement fully inside must be allowed, or every
-    placement taken modulo the grid size when wrap is set."""
+    placement taken modulo the grid size when wrap is set.  wrap_y wraps
+    the y axis only: the grid is a strip around a height-h cylinder."""
     w, h = len(grid), len(grid[0])
     for offsets, allowed in constraints:
         mx = max(dx for dx, _ in offsets)
         my = max(dy for _, dy in offsets)
-        if not wrap and (mx >= w or my >= h):
-            continue
         xs = range(w) if wrap else range(w - mx)
-        ys = range(h) if wrap else range(h - my)
+        ys = range(h) if wrap or wrap_y else range(h - my)
         for x in xs:
             for y in ys:
                 if tuple(grid[(x + dx) % w][(y + dy) % h] for dx, dy in offsets) not in allowed:
@@ -114,6 +113,42 @@ def wrapped_recursive(nstates, constraints, p, q):
     then keep the ones whose wrapped reading also passes."""
     return [g for g in squares_rect(nstates, constraints, p, q)
             if grid_ok(constraints, g, wrap=True)]
+
+
+def cylinder_strips(nstates, constraints, w, q):
+    """All w x q grids valid around the height-q cylinder, one column at a
+    time; the whole grid is rechecked after every column."""
+    cols = list(product(range(nstates), repeat=q))
+    grids = [()]
+    for _ in range(w):
+        grids = [g + (c,) for g in grids for c in cols if grid_ok(constraints, g + (c,), wrap_y=True)]
+    return grids
+
+
+def weak_periodic_exists(nstates, constraints, maxq):
+    """Whether some tiling has a vertical period q <= maxq and no
+    horizontal period, or is the transpose of one.
+
+    Per q and orientation: vertices are the valid cylinder strips as wide
+    as the widest rule, an edge is a strip one column wider from its left
+    to its right part, so the bi-infinite walks are exactly the vertically
+    q-periodic tilings.  Vertices without an in-edge or an out-edge lie on
+    no such walk and are trimmed until none is left.  The rest is a union
+    of disjoint cycles (every walk periodic) exactly when it has as many
+    edges as vertices.
+    """
+    flipped = tuple((tuple((dy, dx) for dx, dy in offs), allowed) for offs, allowed in constraints)
+    for q in range(1, maxq + 1):
+        for rules in (constraints, flipped):
+            w = 1 + max(dx for offs, _ in rules for dx, _ in offs)
+            edges = {(m[:-1], m[1:]) for m in cylinder_strips(nstates, rules, w + 1, q)}
+            verts = None
+            while verts != (keep := {a for a, _ in edges} & {b for _, b in edges}):
+                verts = keep
+                edges = {(a, b) for a, b in edges if a in keep and b in keep}
+            if len(edges) > len(verts):
+                return True
+    return False
 
 
 def orbit_canonical(grid):

@@ -192,6 +192,9 @@ def emit_tileset(ts: TileSet) -> str:
     out = ["alphabet " + " ".join(ts.alphabet.tokens), "mode allowed"]
     toks = ts.alphabet.tokens
     for shape, pats in zip(ts.shapes, ts.allowed):
+        if not pats:
+            # an allowed-mode file cannot state a shape that allows nothing
+            raise ValueError(f"shape {sorted(tuple(c) for c in shape)} allows no pattern")
         ordered = sorted(pats, key=lambda p: p.key())
         if shape == _HSHAPE:
             out.extend(f"hpair {toks[p.cells[Vec2(0, 0)]]} {toks[p.cells[Vec2(1, 0)]]}" for p in ordered)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import networkx as nx
 
@@ -78,6 +77,8 @@ def enumerate_torus(ts: TileSet, maxp: int, maxq: int) -> list[TorusTiling]:
     period p, strictly least among its horizontal rotations; the vertical
     rotations are checked per surviving walk.
     """
+    if maxp < 1 or maxq < 1:
+        raise ValueError("maxp and maxq must be positive")
     graphs = {q: build_transfer_graph(ts, q, wrap=True) for q in range(1, maxq + 1)}
     out = []
     for p in range(1, maxp + 1):
@@ -115,49 +116,42 @@ def classify(ts: TileSet, budget: int):
     return Unknown(budget)
 
 
-def _canonical_cycle(cycle: tuple) -> tuple:
-    rots = [cycle[i:] + cycle[:i] for i in range(len(cycle))]
-    return min(rots)
+def _shortest_cycle(graph: nx.DiGraph, v: int) -> tuple:
+    """Shortest cycle through v, starting at v; ties go to the least closing vertex."""
+    paths = nx.shortest_path(graph, v)
+    u = min((u for u in graph.predecessors(v) if u in paths), key=lambda u: (len(paths[u]), u))
+    return tuple(paths[u])
 
 
-def _vertical_rotations(cycle: tuple, q: int):
-    """The cycle with every vertex's columns rotated by each of the q offsets."""
-    for b in range(q):
-        yield tuple(
-            tuple(tuple(col[(y + b) % q] for y in range(q)) for col in vert)
-            for vert in cycle
-        )
+def _two_cycles(g: TransferGraph) -> tuple | None:
+    """Two distinct cycles c1, c2 of g and a shortest path from c1[0] to
+    c2[0], as vertex-index tuples, or None.
 
-
-def _cycle_pairs(graph: nx.DiGraph, cycles: list[tuple], q: int):
-    reach = {}
-    for c1 in cycles:
-        for c2 in cycles:
-            if c1 is c2:
+    The walk shift of a graph has a non-periodic point exactly when some
+    cyclic SCC is more than one cycle or a path leads from one cyclic SCC to
+    another.  Per cyclic SCC in order of least vertex v, c1 is the shortest
+    cycle through v; c2 is the cycle closed by the SCC's first edge off c1,
+    else the shortest cycle of the least cyclic SCC reachable from v.
+    """
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(len(g.vertices)))
+    graph.add_edges_from(g.edges)
+    root = {v: min(c) for c in nx.strongly_connected_components(graph) for v in c}
+    cyclic = sorted({root[a] for a, b in g.edges if root[a] == root[b]})
+    for v in cyclic:
+        c1 = _shortest_cycle(graph, v)
+        on_c1 = set(zip(c1, c1[1:] + c1[:1]))
+        extra = next(((a, b) for a, b in g.edges if root[a] == root[b] == v and (a, b) not in on_c1), None)
+        if extra is not None:
+            c2 = tuple(nx.shortest_path(graph, extra[1], extra[0]))
+        else:
+            reach = nx.descendants(graph, v)
+            w = next((w for w in cyclic if w in reach), None)
+            if w is None:
                 continue
-            if any(_canonical_cycle(r) == c2 for r in _vertical_rotations(c1, q)):
-                continue
-            key = c1[0]
-            if key not in reach:
-                reach[key] = nx.descendants(graph, key) | {key}
-            # reachability from any vertex of c1 equals reachability from one,
-            # the cycle being strongly connected through itself
-            if any(v in reach[key] for v in c2):
-                yield c1, c2
-
-
-def _bridge(graph: nx.DiGraph, c1: tuple, c2: tuple):
-    """Shortest path from a c1 vertex to a c2 vertex; ties broken by content."""
-    best = None
-    for start in c1:
-        paths = nx.shortest_path(graph, start)
-        for t in c2:
-            if t in paths:
-                cand = tuple(paths[t])
-                rank = (len(cand), cand)
-                if best is None or rank < best[0]:
-                    best = (rank, cand)
-    return best[1] if best else None
+            c2 = _shortest_cycle(graph, w)
+        return c1, c2, tuple(nx.shortest_path(graph, c1[0], c2[0]))
+    return None
 
 
 def _witness_presentation(ts: TileSet, c1: tuple, c2: tuple, path: tuple, q: int) -> GridPresentation:
@@ -192,41 +186,32 @@ def _witness_presentation(ts: TileSet, c1: tuple, c2: tuple, path: tuple, q: int
     return GridPresentation(ts.alphabet, xcuts, (), tuple((b,) for b in columns))
 
 
-def weak_periodic_witness(ts: TileSet, maxq: int, cycle_cap: int = 20000) -> GridPresentation | None:
-    """Search for a tiling that is vertically but not horizontally periodic
-    (or the transpose), built from two inequivalent cycles of a wrap transfer
-    graph joined by a bridge.
+def weak_periodic_witness(ts: TileSet, maxq: int) -> GridPresentation | None:
+    """A tiling that is vertically periodic with period q <= maxq but not
+    horizontally periodic, or the transpose of one; None when none exists.
 
-    Two simple cycles that are not vertical rotations of one another, with a
-    path from the first to the second, splice into a valid plane on the
-    height-q cylinder; the mismatch of the two ends kills every period with a
-    horizontal component, leaving a rank-1 vertical lattice.  Heights are
-    tried in increasing order, the given orientation before the transpose.
+    Such tilings are the non-periodic bi-infinite walks on the height-q wrap
+    transfer graph.  Two distinct cycles joined by a path splice into one:
+    were the plane horizontally periodic, its left tail (c1 repeated) would
+    fix the whole column sequence, and c2 would be a rotation of c1.  Heights
+    are tried in increasing order, the given orientation before the transpose.
     """
     if maxq < 1:
         raise ValueError("maxq must be positive")
+    orientations = ((ts, False), (ts.transpose(), True))
     for q in range(1, maxq + 1):
-        for oriented, flipped in ((ts, False), (ts.transpose(), True)):
+        for oriented, flipped in orientations:
             g = build_transfer_graph(oriented, q, wrap=True)
-            if not g.vertices:
+            found = _two_cycles(g)
+            if found is None:
                 continue
-            graph = nx.DiGraph()
-            graph.add_nodes_from(g.vertices)
-            graph.add_edges_from((g.vertices[a], g.vertices[b]) for a, b in g.edges)
-            cycles = sorted(
-                {_canonical_cycle(tuple(c)) for c in islice(nx.simple_cycles(graph), cycle_cap)},
-                key=lambda c: (len(c), c),
-            )
-            for c1, c2 in _cycle_pairs(graph, cycles, q):
-                path = _bridge(graph, c1, c2)
-                if path is None:
-                    continue
-                pres = _witness_presentation(oriented, c1, c2, path, q)
-                if flipped:
-                    pres = transpose(pres)
-                if not is_valid(pres, ts):
-                    raise RuntimeError("witness construction produced an invalid tiling")
-                if period_lattice(pres).rank != 1:
-                    raise RuntimeError("witness construction lost weak periodicity")
-                return pres
+            c1, c2, path = (tuple(g.vertices[i] for i in walk) for walk in found)
+            pres = _witness_presentation(oriented, c1, c2, path, q)
+            if flipped:
+                pres = transpose(pres)
+            if not is_valid(pres, ts):
+                raise RuntimeError("witness construction produced an invalid tiling")
+            if period_lattice(pres).rank != 1:
+                raise RuntimeError("witness construction lost weak periodicity")
+            return pres
     return None

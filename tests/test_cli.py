@@ -125,6 +125,18 @@ def test_pattern_block_round_trip(tmp_path):
     assert parse_tileset(g) == ts
 
 
+def test_emit_tileset_refuses_a_shape_that_allows_nothing(capsys, tmp_path):
+    # forbidding every hpair leaves the horizontal shape with no pattern; an
+    # allowed-mode file would drop the shape and so lift the constraint
+    f = tmp_path / "t.tiles"
+    f.write_text("alphabet a b\nmode forbidden\nvpair a b\n"
+                 + "".join(f"hpair {x} {y}\n" for x in "ab" for y in "ab"))
+    rc = main(["patterns", str(f), "--size", "2", "--count"])
+    assert (rc, capsys.readouterr().out) == (0, "0\n")
+    with pytest.raises(ValueError, match=r"shape \[\(0, 0\), \(1, 0\)\] allows no pattern"):
+        emit_tileset(parse_tileset(f))
+
+
 def test_presentation_round_trip(tmp_path, stripes, members):
     for name in ("mono_red", "red_green", "green_over_white", "a3", "b2"):
         f = tmp_path / "rt.pres"
@@ -188,6 +200,19 @@ def test_weak_periodic_found(capsys):
     assert out["period_lattice"] == {"rank": 1, "generators": [[0, 1]]}
     assert out["presentation"]["xcuts"] == [1]
     assert [r["rows"] for r in out["presentation"]["regions"]] == [["R"], ["G"]]
+
+
+def test_weak_periodic_found_between_vertical_rotations(capsys, tmp_path):
+    # the only two cycles of the height-2 wrap graph are the columns
+    # (a,a)(b,c) and (a,a)(c,b), vertical rotations of one another
+    f = tmp_path / "t.tiles"
+    f.write_text("alphabet a b c\n"
+                 + "".join(f"hpair {p}\n" for p in ("a b", "a c", "b a", "b b", "b c", "c a"))
+                 + "".join(f"vpair {p}\n" for p in ("a a", "a b", "c b", "b c")))
+    rc, out = run(capsys, "weak-periodic", str(f), "--max-period", "2")
+    assert rc == 0
+    assert out["found"] is True
+    assert out["period_lattice"] == {"rank": 1, "generators": [[0, 2]]}
 
 
 def test_weak_periodic_none(capsys):
@@ -298,6 +323,17 @@ def test_parse_error_exit_code(capsys, tmp_path):
 def test_missing_file_exit_code(capsys):
     rc = main(["patterns", "no_such.tiles", "--size", "1"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("torus", STRIPES, "--max-p", "0", "--max-q", "2"),
+    ("torus", STRIPES, "--max-p", "2", "--max-q", "0"),
+    ("classify", STRIPES, "--budget", "0"),
+    ("weak-periodic", STRIPES, "--max-period", "0"),
+], ids=["torus-p", "torus-q", "classify", "weak-periodic"])
+def test_nonpositive_bound_exit_code(capsys, argv):
+    assert main(list(argv)) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_missing_required_flag():

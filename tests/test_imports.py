@@ -1,17 +1,22 @@
-"""Every name a library module imports is used in it.
+"""Every name a library module imports is used in it, and only `solver`
+reaches outside the standard library.
 
-`__init__.py` is exempt: its imports are the package's public surface.
-Names are collected with the standard `ast` module, including names inside
-string annotations; `from __future__` imports are not names.
+`__init__.py` is exempt from the first check: its imports are the package's
+public surface.  Names are collected with the standard `ast` module,
+including names inside string annotations; `from __future__` imports are
+not names.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tilelab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# the one module with a third-party import (networkx), as README states
+THIRD_PARTY_OK = {"solver.py"}
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -58,3 +63,31 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     tree = ast.parse("from os import path, sep\nimport json\nx: 'json.JSONDecoder' = sep\n'path'\n")
     assert set(_imported(tree)) - _used(tree) == {"path"}
+
+
+def _third_party(tree: ast.Module) -> list[tuple[str, int]]:
+    """Top-level packages imported from outside the standard library and tilelab."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        out += [(n, node.lineno) for n in names
+                if n.split(".")[0] not in sys.stdlib_module_names | {"tilelab"}]
+    return out
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name not in THIRD_PARTY_OK],
+                         ids=lambda p: p.name)
+def test_no_third_party_imports(path):
+    found = _third_party(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, "\n".join(f"{path.name}:{line}: imports {name}" for name, line in found)
+
+
+def test_detects_a_third_party_import():
+    tree = ast.parse("import os.path\nfrom . import core\nfrom tilelab.core import Vec2\n"
+                     "import networkx as nx\nfrom numpy import array\n")
+    assert _third_party(tree) == [("networkx", 4), ("numpy", 5)]

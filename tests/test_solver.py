@@ -1,10 +1,13 @@
+import random
+from itertools import product
+
 import pytest
 
 from oracle import brute
 from conftest import CHECKER_H, CHECKER_V, STRIPES_H, STRIPES_V
-from tilelab.core import Alphabet, TileSet, TorusTiling, Vec2, check_torus
+from tilelab.core import Alphabet, Pattern, TileSet, TorusTiling, Vec2, check_torus
 from tilelab import solver
-from tilelab.presentation import PeriodLattice, is_valid, period_lattice
+from tilelab.presentation import PeriodLattice, block_lcms, cell_at, is_valid, period_lattice
 from tilelab.solver import (
     Empty,
     PeriodicFound,
@@ -109,3 +112,76 @@ def test_weak_periodic_witness_checkerboard(checkerboard):
 
 def test_weak_periodic_witness_none_for_unrefutable_empty(no_rows):
     assert weak_periodic_witness(no_rows, 2) is None
+
+
+# three states whose wrap graph at height 2 has just two cycles, the columns
+# (a,a)(b,c) and (a,a)(c,b): vertical rotations of each other, and a path
+# leads from the first to the second
+SPLICE_H = [(0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0)]
+SPLICE_V = [(0, 0), (0, 1), (2, 1), (1, 2)]
+
+
+def _rules_tileset(nstates, rules):
+    al = Alphabet(tuple("abcd"[:nstates]))
+    return TileSet.from_allowed(al, [
+        Pattern(al, {Vec2(*o): s for o, s in zip(offsets, key)})
+        for offsets, allowed in rules for key in allowed
+    ])
+
+
+def _check_witness(rules, g):
+    """The brute checks of a weakly periodic witness: a tiling on a box past
+    its cuts, lattice rank 1, its generator a period and the cross-axis
+    block lcm not one."""
+    fn = lambda x, y: cell_at(g, (x, y))
+    lx, ly = block_lcms(g)
+    reach = max(map(abs, (*g.xcuts, *g.ycuts, 0))) + 2 * max(lx, ly) + 3
+    assert brute.grid_ok(rules, brute.box_grid(fn, reach))
+    assert brute.lattice_rank(fn, reach, 3) == 1
+    (gen,) = period_lattice(g).generators
+    assert brute.is_period(fn, gen, reach)
+    assert not brute.is_period(fn, (lx, 0) if gen.x == 0 else (0, ly), reach)
+
+
+def test_weak_periodic_witness_splices_vertical_rotations():
+    rules = brute.pair_rules(SPLICE_H, SPLICE_V)
+    ts = _rules_tileset(3, rules)
+    assert brute.weak_periodic_exists(3, rules, 2)
+    g = weak_periodic_witness(ts, 2)
+    assert g is not None
+    assert period_lattice(g).generators == ((0, 2),)
+    _check_witness(rules, g)
+
+
+SHAPES = {
+    "square": ((0, 0), (1, 0), (0, 1), (1, 1)),
+    "row3": ((0, 0), (1, 0), (2, 0)),
+}
+
+
+def _random_rules(rng, nstates, extra):
+    """Random dominoes in both directions plus the named extra shapes; every
+    shape allows each pattern with one probability, and at least one."""
+    density = rng.choice((0.5, 0.6, 0.7, 0.8))
+    out = []
+    for offsets in (((0, 0), (1, 0)), ((0, 0), (0, 1)), *(SHAPES[e] for e in extra)):
+        keys = list(product(range(nstates), repeat=len(offsets)))
+        allowed = frozenset(k for k in keys if rng.random() < density) or frozenset([rng.choice(keys)])
+        out.append((offsets, allowed))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("extra", [(), ("square",), ("row3",)])
+def test_weak_periodic_witness_matches_cylinder_referee(extra):
+    seen = set()
+    for seed in range(60):
+        rng = random.Random(seed)
+        nstates = rng.choice((2, 3, 4))
+        rules = _random_rules(rng, nstates, extra)
+        q = rng.choice((1, 2, 3))
+        g = weak_periodic_witness(_rules_tileset(nstates, rules), q)
+        assert (g is not None) == brute.weak_periodic_exists(nstates, rules, q), seed
+        if g is not None:
+            _check_witness(rules, g)
+        seen.add(g is not None)
+    assert seen == {False, True}
