@@ -73,10 +73,22 @@ class Pattern:
             fixed[_as_vec(v)] = s
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "cells", fixed)
-        object.__setattr__(self, "_hash", hash((alphabet, frozenset(fixed.items()))))
+        object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _trusted(cls, alphabet: Alphabet, cells: dict) -> "Pattern":
+        """Unchecked constructor: cells must be a nonempty Vec2-keyed map of in-range states, owned by the result."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "alphabet", alphabet)
+        object.__setattr__(p, "cells", cells)
+        object.__setattr__(p, "_hash", None)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Pattern is immutable")
+
+    def __reduce__(self):
+        return (Pattern, (self.alphabet, self.cells))
 
     def __eq__(self, other):
         if not isinstance(other, Pattern):
@@ -84,6 +96,8 @@ class Pattern:
         return self.alphabet == other.alphabet and self.cells == other.cells
 
     def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.alphabet, frozenset(self.cells.items()))))
         return self._hash
 
     def __repr__(self):
@@ -111,8 +125,7 @@ class Pattern:
         return max(xs) - min(xs) + 1, max(ys) - min(ys) + 1
 
     def translate(self, v) -> "Pattern":
-        v = _as_vec(v)
-        return Pattern(self.alphabet, {c + v: s for c, s in self.cells.items()})
+        return Pattern._trusted(self.alphabet, {c + v: s for c, s in self.cells.items()})
 
     def normalize(self) -> "Pattern":
         return self.translate(-self.min_corner())
@@ -251,7 +264,7 @@ class TileSet:
         flip = lambda s: frozenset(Vec2(c.y, c.x) for c in s)
         shapes = tuple(flip(s) for s in self.shapes)
         allowed = tuple(
-            frozenset(Pattern(self.alphabet, {Vec2(c.y, c.x): v for c, v in p.cells.items()}) for p in pats)
+            frozenset(Pattern._trusted(self.alphabet, {Vec2(c.y, c.x): v for c, v in p.cells.items()}) for p in pats)
             for pats in self.allowed
         )
         order = sorted(range(len(shapes)), key=lambda i: _shape_sort_key(shapes[i]))
@@ -267,7 +280,7 @@ def _complement(alphabet: Alphabet, cells, keys, limit: int = _COMPLEMENT_LIMIT)
     if total > limit:
         raise ValueError(f"complement of size {total} over shape of {len(cells)} cells refused")
     combos = product(range(len(alphabet)), repeat=len(cells))
-    return [Pattern(alphabet, dict(zip(cells, c))) for c in combos if c not in keys]
+    return [Pattern._trusted(alphabet, dict(zip(cells, c))) for c in combos if c not in keys]
 
 
 def to_forbidden(ts: TileSet, limit: int = _COMPLEMENT_LIMIT) -> dict[frozenset[Vec2], frozenset[Pattern]]:

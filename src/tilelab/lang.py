@@ -3,13 +3,21 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
 from .core import Pattern, TileSet, Vec2
 
 
+def _getter(idxs: tuple[int, ...]):
+    """Reads a window off the cell array as a state tuple (a 1-tuple for one cell)."""
+    j = idxs[0]
+    return itemgetter(*idxs) if len(idxs) > 1 else lambda cells: (cells[j],)
+
+
 def _anchor_checks(ts: TileSet, width: int, height: int, wrap_y: bool = False):
-    """Constraint windows over a width x height grid, grouped by last cell assigned.
+    """Constraint windows over a width x height grid, grouped by last cell
+    assigned, each as a (getter, allowed state tuples) pair.
 
     Cells are indexed x-major ((x, y) -> x * height + y) and assigned in that
     order, so a window can be tested as soon as its highest-index cell gets a
@@ -17,50 +25,51 @@ def _anchor_checks(ts: TileSet, width: int, height: int, wrap_y: bool = False):
     wrap_y the grid is a height-periodic cylinder, whose y coordinates are
     read modulo the height and whose windows are anchored at every row.
     """
-    groups: list[list[tuple[tuple[int, ...], frozenset]]] = [[] for _ in range(width * height)]
+    groups: list[list[tuple]] = [[] for _ in range(width * height)]
     for cells, keys in zip(ts.shape_cells, ts.allowed_keys):
         xs = range(width - max(c.x for c in cells))
         ys = range(height if wrap_y else height - max(c.y for c in cells))
         for ax in xs:
             for ay in ys:
                 idxs = tuple((ax + c.x) * height + (ay + c.y) % height for c in cells)
-                groups[max(idxs)].append((idxs, keys))
+                groups[max(idxs)].append((_getter(idxs), keys))
     return groups
 
 
 def _fill(nstates: int, size: int, groups, prefix: dict[int, int] | None = None) -> Iterator[list[int]]:
-    """Depth-first fill of a flat cell array, branching states in ascending order.
+    """Depth-first fill of a flat cell array, branching states in ascending
+    order; groups[i] holds the windows whose last cell is i (_anchor_checks).
 
-    prefix pins cells to fixed values; a pinned cell is not branched on, but the
-    windows it completes are checked like any other, so a fill whose pinned
-    cells already break a window yields nothing.
+    The search is a loop over the cell index, with the cell array as its
+    stack, so it has no depth limit.  prefix pins cells to fixed values; a
+    pinned cell is not branched on, but the windows it completes are checked
+    like any other, so a fill whose pinned cells already break a window
+    yields nothing.
     """
-    cells = [-1] * size
-    if prefix:
-        for i, s in prefix.items():
-            cells[i] = s
-
-    def ok(i: int) -> bool:
-        for idxs, keys in groups[i]:
-            if tuple(cells[j] for j in idxs) not in keys:
-                return False
-        return True
-
-    def walk(i: int) -> Iterator[list[int]]:
+    prefix = prefix or {}
+    cells = [prefix.get(i, -1) for i in range(size)]
+    i, forward = 0, True
+    while i >= 0:
         if i == size:
-            yield list(cells)
-            return
-        if cells[i] >= 0:
-            if ok(i):
-                yield from walk(i + 1)
-            return
-        for s in range(nstates):
-            cells[i] = s
-            if ok(i):
-                yield from walk(i + 1)
-        cells[i] = -1
-
-    yield from walk(0)
+            yield cells[:]
+            i, forward = i - 1, False
+        elif i in prefix:
+            if forward and all(get(cells) in keys for get, keys in groups[i]):
+                i += 1
+            else:
+                i, forward = i - 1, False
+        else:
+            for s in range(cells[i] + 1, nstates):
+                cells[i] = s
+                for get, keys in groups[i]:
+                    if get(cells) not in keys:
+                        break
+                else:
+                    i, forward = i + 1, True
+                    break
+            else:
+                cells[i] = -1
+                i, forward = i - 1, False
 
 
 def _grids(ts: TileSet, width: int, height: int, wrap_y: bool = False):
@@ -75,8 +84,9 @@ def iter_admissible_squares(ts: TileSet, n: int) -> Iterator[Pattern]:
     if n < 1:
         raise ValueError("n must be positive")
     groups = _anchor_checks(ts, n, n)
+    coords = [Vec2(i // n, i % n) for i in range(n * n)]
     for cells in _fill(len(ts.alphabet), n * n, groups):
-        yield Pattern(ts.alphabet, {Vec2(i // n, i % n): s for i, s in enumerate(cells)})
+        yield Pattern._trusted(ts.alphabet, dict(zip(coords, cells)))
 
 
 def admissible_squares(ts: TileSet, n: int) -> list[Pattern]:

@@ -226,7 +226,7 @@ def _decode(key: tuple[int, ...], h: int, k: int) -> tuple[int, ...]:
 
 def _key_pattern(alphabet: Alphabet, key: tuple[int, ...], h: int) -> Pattern:
     flat = _decode(key, h, len(alphabet))
-    return Pattern(alphabet, {Vec2(dx, dy): flat[dx * h + dy] for dx in range(len(key)) for dy in range(h)})
+    return Pattern._trusted(alphabet, {Vec2(dx, dy): flat[dx * h + dy] for dx in range(len(key)) for dy in range(h)})
 
 
 def _window_codes(g: GridPresentation, w: int, h: int) -> frozenset:

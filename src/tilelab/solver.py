@@ -33,27 +33,61 @@ def refute(ts: TileSet, n: int) -> bool:
     return next(iter_admissible_squares(ts, n), None) is None
 
 
+def _reaching(pred: list[int], r: int) -> int:
+    """Bit mask of the vertices >= r that reach r through vertices >= r,
+    from pred[v], the bit mask of v's predecessors."""
+    seen, todo = 1 << r, [r]
+    while todo:
+        new = pred[todo.pop()] >> r << r & ~seen
+        seen |= new
+        while new:
+            low = new & -new
+            todo.append(low.bit_length() - 1)
+            new ^= low
+    return seen
+
+
 def _lyndon_blocks(g: TransferGraph, p: int):
     """Blocks of the closed p-walks on wrap graph g whose index sequence is a
     Lyndon word (column x: vertex x's first column), in lexicographic order.
-    Fredricksen-Kessler-Maiorana prenecklace search: `period` is that of the
-    longest Lyndon prefix, and no index falls below walk[t - period].
-    Successors are tried in ascending order."""
-    succ = g.successors()
+    Fredricksen-Kessler-Maiorana prenecklace search over bit masks, as a loop
+    with no depth limit: `period` is that of the longest Lyndon prefix, no
+    index falls below walk[t - period], and candidates go lowest first.  Inner
+    steps keep to the vertices that reach walk[0] through vertices >= walk[0],
+    as every vertex of a Lyndon walk does; the last step closes the walk."""
+    n = len(g.vertices)
+    succ, pred = [0] * n, [0] * n
+    for a, b in g.edges:
+        succ[a] |= 1 << b
+        pred[b] |= 1 << a
+    first = [v[0] for v in g.vertices]
     walk = [0] * p
-
-    def extend(t: int, period: int):
-        if t == p:
-            if period == p and walk[0] in succ[walk[-1]]:
-                yield tuple(g.vertices[v][0] for v in walk)
-            return
-        for v in succ[walk[t - 1]]:
-            if v >= walk[t - period]:
-                walk[t] = v
-                yield from extend(t + 1, period if v == walk[t - period] else t + 1)
-
-    for walk[0] in range(len(g.vertices)):
-        yield from extend(1, 1)
+    for r in range(n):
+        walk[0] = r
+        if p == 1:
+            if succ[r] >> r & 1:
+                yield (first[r],)
+            continue
+        keep = _reaching(pred, r) if p > 2 else -1  # at p == 2 the closing edge implies it
+        stack = [(1, succ[r] & keep)]  # (period of walk[:t], untried candidates for walk[t]), t = len(stack)
+        while stack:
+            t = len(stack)
+            period, cands = stack.pop()
+            lo = walk[t - period]
+            if t == p - 1:
+                ends = cands & pred[r] >> lo + 1 << lo + 1
+                while ends:
+                    low = ends & -ends
+                    walk[t] = low.bit_length() - 1
+                    yield tuple([first[v] for v in walk])
+                    ends ^= low
+                continue
+            cands = cands >> lo << lo
+            if cands:
+                low = cands & -cands
+                walk[t] = v = low.bit_length() - 1
+                stack.append((period, cands ^ low))
+                stack.append((period if v == lo else t + 1, succ[v] & keep))
 
 
 def _least_of_vertical_rotations(block: tuple, q: int) -> bool:

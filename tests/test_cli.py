@@ -152,6 +152,19 @@ def test_patterns_count(capsys):
     assert capsys.readouterr().out == "11\n"
 
 
+def test_searches_have_no_depth_limit(capsys, tmp_path):
+    """On the one-state set, a 32-square is a 1024-cell fill, the budget-40
+    ladder fills a 40-square, and a 1100-wide torus is an 1100-step walk."""
+    f = tmp_path / "one.tiles"
+    f.write_text("alphabet a\nmode allowed\nhpair a a\nvpair a a\n")
+    assert main(["patterns", str(f), "--size", "32", "--count"]) == 0
+    assert capsys.readouterr().out == "1\n"
+    rc, out = run(capsys, "classify", str(f), "--budget", "40")
+    assert (rc, out) == (0, {"outcome": "periodic", "tiling": {"p": 1, "q": 1, "rows": ["a"]}})
+    rc, out = run(capsys, "torus", str(f), "--max-p", "1100", "--max-q", "1")
+    assert (rc, out["count"]) == (0, 1)
+
+
 def test_forbidden_mode_keeps_a_fully_forbidden_shape(capsys, tmp_path):
     f = tmp_path / "t.tiles"
     f.write_text("alphabet a b\nmode forbidden\n" + "".join(f"hpair {x} {y}\n" for x in "ab" for y in "ab"))

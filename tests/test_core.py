@@ -1,5 +1,10 @@
+import copy
+import pickle
+
 import pytest
 
+from conftest import CORPUS
+from tilelab.cli import parse_tileset
 from tilelab.core import (
     Alphabet,
     Pattern,
@@ -59,6 +64,34 @@ def test_pattern_immutable_and_hashable(rg):
     with pytest.raises(AttributeError):
         p.cells = {}
     assert len({p, Pattern(rg, {Vec2(0, 0): 0})}) == 1
+
+
+def test_pattern_constructor_validates(rg):
+    with pytest.raises(ValueError):
+        Pattern(rg, {})
+    for bad in (2, -1):
+        with pytest.raises(ValueError):
+            Pattern(rg, {Vec2(0, 0): 0, Vec2(1, 0): bad})
+
+
+@pytest.mark.parametrize("copier", [
+    lambda x: pickle.loads(pickle.dumps(x)),
+    copy.copy,
+    copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_pattern_and_tileset_copy_round_trip(rg, copier):
+    p = Pattern(rg, {(0, 0): 1, (1, 0): 0})
+    ts = parse_tileset(CORPUS / "stripes.tiles")
+    for x in (p, p.translate((2, 5)), ts, ts.transpose()):
+        y = copier(x)
+        assert y == x and hash(y) == hash(x)
+    # the hash is computed lazily and never pickled with the pattern
+    fresh = Pattern(rg, {(0, 0): 1})
+    before = pickle.dumps(fresh)
+    hash(fresh)
+    assert pickle.dumps(fresh) == before
+    with pytest.raises(AttributeError):
+        copier(p).cells = {}
 
 
 def test_pattern_rows_round_trip(rg):

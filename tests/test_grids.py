@@ -6,7 +6,10 @@ windows; these tests check each of them against `oracle/brute.py` on random
 tile sets with a 2 x 2 rule, a 3 x 1 rule (so that transfer-graph vertices
 are two columns wide) and a 3 x 1 rule beside a vertical domino.  The torus
 walks are also checked against a flat fill of the wrapped torus, and on tori
-up to 6 wide against count_torus.
+up to 6 wide against count_torus.  Admissible and extensible squares, and
+the patterns built without per-cell checks, are checked on domino sets with
+and without an extra 2 x 2 or 3 x 1 rule; the pruned Lyndon-walk search is
+checked on random graphs against every closed walk.
 """
 
 import random
@@ -15,9 +18,17 @@ from itertools import product
 import pytest
 
 from oracle import brute
-from tilelab.core import Alphabet, Pattern, TileSet, TorusTiling, Vec2
-from tilelab.lang import _fill, build_transfer_graph, count_torus
-from tilelab.solver import Empty, PeriodicFound, Unknown, classify, enumerate_torus
+from tilelab.core import Alphabet, Pattern, TileSet, TorusTiling, Vec2, to_forbidden
+from tilelab.lang import (
+    TransferGraph,
+    _fill,
+    _getter,
+    admissible_squares,
+    build_transfer_graph,
+    count_torus,
+    extensible_squares,
+)
+from tilelab.solver import Empty, PeriodicFound, Unknown, _lyndon_blocks, classify, enumerate_torus
 
 SQUARE = frozenset(Vec2(x, y) for x in range(2) for y in range(2))
 ROW3 = frozenset(Vec2(x, 0) for x in range(3))
@@ -25,14 +36,14 @@ VDOMINO = frozenset((Vec2(0, 0), Vec2(0, 1)))
 KINDS = {"square": (SQUARE,), "row3": (ROW3,), "row3+vdomino": (ROW3, VDOMINO)}
 
 
-def _random_tileset(rng: random.Random, nstates: int, shapes) -> TileSet:
-    """Each state tuple of each shape allowed with probability 0.6 (at least one)."""
+def _random_tileset(rng: random.Random, nstates: int, shapes, density: float = 0.6) -> TileSet:
+    """Each state tuple of each shape allowed with probability density (at least one)."""
     al = Alphabet(tuple("abc"[:nstates]))
     allowed = []
     for shape in shapes:
         cells = sorted(shape)
         combos = list(product(range(nstates), repeat=len(cells)))
-        keep = [c for c in combos if rng.random() < 0.6] or [rng.choice(combos)]
+        keep = [c for c in combos if rng.random() < density] or [rng.choice(combos)]
         allowed.append(frozenset(Pattern(al, dict(zip(cells, c))) for c in keep))
     return TileSet(al, tuple(shapes), tuple(allowed))
 
@@ -127,7 +138,7 @@ def _filled_tori(ts: TileSet, p: int, q: int):
         for ax in range(p):
             for ay in range(q):
                 idxs = tuple((ax + c.x) % p * q + (ay + c.y) % q for c in cells)
-                groups[max(idxs)].append((idxs, keys))
+                groups[max(idxs)].append((_getter(idxs), keys))
     for flat in _fill(len(ts.alphabet), p * q, groups):
         yield tuple(tuple(flat[x * q:(x + 1) * q]) for x in range(p))
 
@@ -177,3 +188,78 @@ def test_translate_key_reads_the_torus_from_an_offset():
                 assert len(key) == p and all(len(col) == q for col in key)
                 assert all(key[x][y] == t.state_at(x + dx, y + dy) for x in range(p) for y in range(q))
         assert t.canonical_key() == brute.orbit_canonical(t.block)
+
+
+# ------------------------------------------------ squares, margins, patterns
+
+HDOMINO = frozenset((Vec2(0, 0), Vec2(1, 0)))
+EXTRA = {"pairs": (), "pairs+square": (SQUARE,), "pairs+row3": (ROW3,)}
+SQUARE_CASES = [
+    (extra, nstates, seed)
+    for extra in EXTRA
+    for nstates in (2, 3)
+    for seed in range(3 if nstates == 2 else 1)
+]
+
+
+def _pair_case(extra: str, nstates: int, seed: int):
+    rng = random.Random(f"squares/{extra}/{nstates}/{seed}")
+    ts = _random_tileset(rng, nstates, (HDOMINO, VDOMINO) + EXTRA[extra], density=0.8)
+    return ts, _constraints(ts)
+
+
+def _grid(p: Pattern, w: int, h: int):
+    return tuple(tuple(p.cells[Vec2(x, y)] for y in range(h)) for x in range(w))
+
+
+@pytest.mark.parametrize("extra,nstates,seed", SQUARE_CASES)
+def test_admissible_squares_match_oracle_in_order(extra, nstates, seed):
+    ts, cons = _pair_case(extra, nstates, seed)
+    for n in (1, 2, 3):
+        got = [_grid(p, n, n) for p in admissible_squares(ts, n)]
+        assert got == brute.squares_rect(nstates, cons, n, n), n
+
+
+@pytest.mark.parametrize("extra,nstates,seed", [c for c in SQUARE_CASES if c[1] == 2])
+def test_extensible_squares_match_brute_completions(extra, nstates, seed):
+    """A 2-square extends at margin 1 when it is the centre of a valid
+    4-square: the fill pins the centre and checks the windows it closes."""
+    ts, cons = _pair_case(extra, nstates, seed)
+    centres = {tuple(col[1:3] for col in g[1:3]) for g in brute.squares_rect(nstates, cons, 4, 4)}
+    want = [g for g in brute.squares_rect(nstates, cons, 2, 2) if g in centres]
+    assert [_grid(p, 2, 2) for p in extensible_squares(ts, 2, 1)] == want
+
+
+@pytest.mark.parametrize("extra,nstates,seed", SQUARE_CASES)
+def test_unchecked_patterns_equal_checked_ones(extra, nstates, seed):
+    ts, _ = _pair_case(extra, nstates, seed)
+    squares = admissible_squares(ts, 2)
+    made = squares + [p.translate((3, -1)) for p in squares] + [p.normalize() for p in squares]
+    made += [p for pats in ts.transpose().allowed for p in pats]
+    made += [p for pats in to_forbidden(ts).values() for p in pats]
+    for p in made:
+        checked = Pattern(p.alphabet, dict(p.cells))
+        assert p == checked and hash(p) == hash(checked)
+        assert all(type(c) is Vec2 for c in p.cells)
+
+
+def _lyndon_walks_brute(n: int, edges, p: int):
+    """Closed p-walks whose index sequence is strictly least among its rotations."""
+    return [
+        w for w in product(range(n), repeat=p)
+        if all((w[i], w[(i + 1) % p]) in edges for i in range(p))
+        and all(w < w[i:] + w[:i] for i in range(1, p))
+    ]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_lyndon_walks_match_every_closed_walk(seed):
+    """Sparse random graphs, where walks can wander off to vertices that
+    return to walk[0] only through lower ones, or never return at all."""
+    rng = random.Random(f"lyndon/{seed}")
+    n = rng.randint(2, 6)
+    edges = {(a, b) for a in range(n) for b in range(n) if rng.random() < 0.35}
+    g = TransferGraph(1, True, 1, tuple(((i,),) for i in range(n)), tuple(sorted(edges)))
+    for p in range(1, 7):
+        want = [tuple((v,) for v in w) for w in _lyndon_walks_brute(n, edges, p)]
+        assert list(_lyndon_blocks(g, p)) == want, p

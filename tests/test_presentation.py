@@ -85,6 +85,9 @@ def test_pattern_set_counts(members):
     assert len(pattern_set(members["a2"], 1)) == 4
     assert len(pattern_set(members["a2"], 2)) == 11
     assert {p.key() for p in pattern_set(members["mono_red"], 3)} == {(0,) * 9}
+    for p in pattern_set(members["b3"], 3):  # built unchecked from window codes
+        checked = Pattern(p.alphabet, dict(p.cells))
+        assert p == checked and hash(p) == hash(checked)
 
 
 @pytest.mark.parametrize("name", ["a1", "a3", "b2", "red_green", "white_over_black",
