@@ -361,6 +361,8 @@ def _cmd_order(args) -> int:
     ]
     # Inclusions between distinct tilings can flip as the window grows; the
     # diagram itself is window-independent, so only the raw checks are probed.
+    # Inclusion at n + 1 implies it at n (every n-window is the corner of an
+    # (n+1)-window at the same corner), so only a loss is probed.
     unstable = []
     reps = [cls[0] for cls in h.classes]
     for a in reps:
@@ -368,7 +370,7 @@ def _cmd_order(args) -> int:
             if a == b:
                 continue
             ga, gb = f.presentation(a), f.presentation(b)
-            if preceq(ga, gb, f.window) != preceq(ga, gb, f.window + 1):
+            if preceq(ga, gb, f.window) and not preceq(ga, gb, f.window + 1):
                 unstable.append([a, b])
     _emit(
         {

@@ -7,7 +7,7 @@ recurrence type) reduces to finite scans whose ranges come from the band
 spans plus one block period of margin on each side; the scan-range arguments
 are spelled out at the functions that rely on them.
 
-Every scan reads one index per presentation (`_Analysis`): a cell grid
+Every scan reads one index per presentation object (`_Analysis`): a cell grid
 filled block by block, and per run height h its column codes, the h cells
 above a grid cell read as one base-k number (k the alphabet size, the lowest
 cell the most significant digit).  A code is an exact integer, not a hash,
@@ -20,7 +20,6 @@ the same window either way, and only the window returned is decoded.
 
 from __future__ import annotations
 
-import weakref
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -77,15 +76,6 @@ class GridPresentation:
                     for s in data_col:
                         if not 0 <= s < len(self.alphabet):
                             raise ValueError("block state out of alphabet range")
-        # every scan looks its index up by value (_ANALYSES): hash the fields once
-        object.__setattr__(self, "_hash", hash((self.alphabet, self.xcuts, self.ycuts, self.regions)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # rebuild rather than carry _hash: string hashes differ between processes
-        return GridPresentation, (self.alphabet, self.xcuts, self.ycuts, self.regions)
 
 
 def uniform(alphabet: Alphabet, state: int) -> GridPresentation:
@@ -113,6 +103,14 @@ def cut_spans(g: GridPresentation) -> Vec2:
     return Vec2(xs, ys)
 
 
+def _corners(cuts: tuple[int, ...], w: int, step: int) -> range:
+    """Corners on one axis whose length-w runs realize every run content of
+    a plane cut at cuts that repeats with step outside them: every straddling
+    corner plus one step deep into each extreme band, or one step's worth of
+    corners when there is no cut."""
+    return range(min(cuts) - w - step, max(cuts) + step + 1) if cuts else range(0, step)
+
+
 class _Analysis:
     """Per-presentation scan index: a materialized cell grid, its column codes
     per run height, and the coded window-key sets asked for so far."""
@@ -137,15 +135,7 @@ class _Analysis:
         axis one lcm's worth of corners suffices.
         """
         g, (ux, vy) = self.g, self.lcms
-        if g.xcuts:
-            xs = range(g.xcuts[0] - w - ux, g.xcuts[-1] + ux + 1)
-        else:
-            xs = range(0, ux)
-        if g.ycuts:
-            ys = range(g.ycuts[0] - h - vy, g.ycuts[-1] + vy + 1)
-        else:
-            ys = range(0, vy)
-        return xs, ys
+        return _corners(g.xcuts, w, ux), _corners(g.ycuts, h, vy)
 
     def ensure(self, x0: int, x1: int, y0: int, y1: int) -> None:
         """Grow the materialized grid to cover [x0, x1] x [y0, y1].
@@ -208,14 +198,14 @@ class _Analysis:
         return got
 
 
-_ANALYSES: "weakref.WeakKeyDictionary[GridPresentation, _Analysis]" = weakref.WeakKeyDictionary()
+# keyed by id(g): each entry holds its plane (_Analysis.g), so no live key's id is reused
+_ANALYSES: dict[int, _Analysis] = {}
 
 
 def _ana(g: GridPresentation) -> _Analysis:
-    a = _ANALYSES.get(g)
+    a = _ANALYSES.get(id(g))
     if a is None:
-        a = _Analysis(g)
-        _ANALYSES[g] = a
+        a = _ANALYSES[id(g)] = _Analysis(g)
     return a
 
 
@@ -374,10 +364,9 @@ def transpose(g: GridPresentation) -> GridPresentation:
 def _agree(a1: _Analysis, a2: _Analysis, xcuts, ycuts, ux: int, vy: int, v: Vec2) -> bool:
     """Whether a1's plane at p equals a2's plane at p - v for every p in the
     comparison box of planes cut at xcuts and ycuts that repeat with (ux, vy)
-    outside them: the cut span plus one lcm and one cell of margin per side.
+    outside them: the cells of the corner range at w = 1 on each axis.
     Compared column slice by column slice on the materialized grids."""
-    xs = range(min(xcuts) - 1 - ux, max(xcuts) + ux + 1) if xcuts else range(0, ux)
-    ys = range(min(ycuts) - 1 - vy, max(ycuts) + vy + 1) if ycuts else range(0, vy)
+    xs, ys = _corners(xcuts, 1, ux), _corners(ycuts, 1, vy)
     a1.ensure(xs[0], xs[-1], ys[0], ys[-1])
     a2.ensure(xs[0] - v.x, xs[-1] - v.x, ys[0] - v.y, ys[-1] - v.y)
     (b1x, _, b1y, _), (b2x, _, b2y, _) = a1.bounds, a2.bounds

@@ -69,6 +69,8 @@ def _lyndon_blocks(g: TransferGraph, p: int):
                 yield (first[r],)
             continue
         keep = _reaching(pred, r) if p > 2 else -1  # at p == 2 the closing edge implies it
+        if keep >> r + 1 == 0:
+            continue  # a Lyndon word of length >= 2 has a letter above its first
         stack = [(1, succ[r] & keep)]  # (period of walk[:t], untried candidates for walk[t]), t = len(stack)
         while stack:
             t = len(stack)

@@ -252,13 +252,18 @@ def _lyndon_walks_brute(n: int, edges, p: int):
     ]
 
 
-@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("seed", [*range(12), "self-only"])
 def test_lyndon_walks_match_every_closed_walk(seed):
     """Sparse random graphs, where walks can wander off to vertices that
-    return to walk[0] only through lower ones, or never return at all."""
-    rng = random.Random(f"lyndon/{seed}")
-    n = rng.randint(2, 6)
-    edges = {(a, b) for a in range(n) for b in range(n) if rng.random() < 0.35}
+    return to walk[0] only through lower ones, or never return at all; and
+    one where start vertices 0, 1 and 3 keep only themselves (what they
+    lead to never leads back), so only walks from 2 through 3 are Lyndon."""
+    if seed == "self-only":
+        n, edges = 4, {(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3), (3, 2)}
+    else:
+        rng = random.Random(f"lyndon/{seed}")
+        n = rng.randint(2, 6)
+        edges = {(a, b) for a in range(n) for b in range(n) if rng.random() < 0.35}
     g = TransferGraph(1, True, 1, tuple(((i,),) for i in range(n)), tuple(sorted(edges)))
     for p in range(1, 7):
         want = [tuple((v,) for v in w) for w in _lyndon_walks_brute(n, edges, p)]

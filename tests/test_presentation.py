@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -15,6 +17,7 @@ from tilelab.presentation import (
     TypeA,
     TypeB,
     Zero,
+    _ANALYSES,
     _dims_ascending,
     block_lcms,
     cell_at,
@@ -385,3 +388,54 @@ def test_engine_preceq_matches_oracle(seed):
             want = (brute.window_keys(brute.box_grid(fa, REACH), n, n)
                     <= brute.window_keys(brute.box_grid(fb, REACH), n, n))
             assert preceq(ga, gb, n) == want, n
+
+
+def test_engine_preceq_inclusion_at_n_plus_1_implies_n():
+    """Growing the window only loses inclusions, which the order command's
+    stabilization probe relies on; pairs are drawn over one alphabet."""
+    losses = 0
+    for seed in PLANE_SEEDS:
+        rng = random.Random(f"monotone/{seed}")
+        planes = [random_plane(rng)[0]]
+        while len(planes) < 4:
+            g = random_plane(rng)[0]
+            if g.alphabet == planes[0].alphabet:
+                planes.append(g)
+        for x in planes:
+            for y in planes:
+                got = [preceq(x, y, n) for n in range(1, 6)]
+                for n in range(4):
+                    assert got[n] or not got[n + 1], (seed, n + 1)
+                    losses += got[n] and not got[n + 1]
+    assert losses
+
+
+@pytest.mark.parametrize("seed", PLANE_SEEDS)
+def test_engine_periods_and_equality_match_oracle(seed):
+    """Shifts up to the largest block lcm (6): the cut sets of g and its
+    shift lie in [-9, 9], so agreement on reach 22 is agreement everywhere."""
+    g, fn = random_plane(random.Random(seed))
+    grid = brute.box_grid(fn, FAR)
+
+    def cells(x, y):
+        return grid[x + FAR][y + FAR]
+
+    lat = period_lattice(g)
+    assert lat.rank == brute.lattice_rank(cells, FAR, 6)
+    for vx in range(-6, 7):
+        for vy in range(-6, 7):
+            want = brute.is_period(cells, (vx, vy), FAR)
+            assert lat.contains((vx, vy)) == want, (vx, vy)
+            assert equal(g, shift(g, (vx, vy))) == want, (vx, vy)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_presentation_pickle_and_copy_round_trips(seed):
+    g = random_plane(random.Random(seed))[0]
+    before = pickle.dumps(g)
+    for twin in (pickle.loads(before), copy.copy(g), copy.deepcopy(g)):
+        assert twin == g and hash(twin) == hash(g)
+    rect_window_keys(g, 2, 3)
+    period_lattice(g)
+    assert id(g) in _ANALYSES
+    assert pickle.dumps(g) == before
