@@ -17,9 +17,8 @@ from .presentation import (
     _dims_ascending,
     _key_pattern,
     _occurrence_scan,
+    _settled_size,
     _window_codes,
-    block_lcms,
-    cut_spans,
     period_lattice,
 )
 from .order import TilingFamily, equivalence_classes
@@ -29,8 +28,8 @@ def _search_bounds(f: TilingFamily, g: GridPresentation) -> tuple[int, int]:
     """Candidate dimensions: the family window, enlarged per axis to the
     member's own span plus two lcm periods (anything larger repeats bands
     already seen, so it isolates nothing new)."""
-    s, l = cut_spans(g), block_lcms(g)
-    return max(f.window, s.x + 2 * l.x), max(f.window, s.y + 2 * l.y)
+    m = _settled_size(g)
+    return max(f.window, m.x), max(f.window, m.y)
 
 
 def isolating_pattern(f: TilingFamily, name: str) -> Pattern | None:

@@ -363,15 +363,16 @@ def _cmd_order(args) -> int:
     # diagram itself is window-independent, so only the raw checks are probed.
     # Inclusion at n + 1 implies it at n (every n-window is the corner of an
     # (n+1)-window at the same corner), so only a loss is probed.
-    unstable = []
-    reps = [cls[0] for cls in h.classes]
-    for a in reps:
-        for b in reps:
-            if a == b:
-                continue
-            ga, gb = f.presentation(a), f.presentation(b)
-            if preceq(ga, gb, f.window) and not preceq(ga, gb, f.window + 1):
-                unstable.append([a, b])
+    reps = [(cls[0], f.presentation(cls[0])) for cls in h.classes]
+    unstable = [
+        [a, b]
+        for a, ga in reps
+        for b, gb in reps
+        if a != b and preceq(ga, gb, f.window) and not preceq(ga, gb, f.window + 1)
+    ]
+    # the dot file is written first, so a failed write leaves stdout empty
+    if args.dot:
+        Path(args.dot).write_text(_dot(h))
     _emit(
         {
             "window": f.window,
@@ -380,8 +381,6 @@ def _cmd_order(args) -> int:
             "stabilization": {"stable": not unstable, "unstable_pairs": unstable},
         }
     )
-    if args.dot:
-        Path(args.dot).write_text(_dot(h))
     return 0
 
 

@@ -1,10 +1,10 @@
 """Extraction preorder on families of presented planes.
 
 x extracts into y when every window of x occurs somewhere in y.  At a fixed
-window size that is a plain inclusion test; family-level structure is read at
-a per-pair size large enough that inclusion there settles inclusion at every
-larger size (the band spans plus two lcm periods and change), so the reported
-order is a property of the planes, not of a window parameter.
+window size that is a plain inclusion test.  Inclusion between two planes is
+constant from the larger of their saturation sizes on, so a family compares
+every pair at one size N, its window raised to every member's saturation size,
+and the reported order is a property of the planes, not of a window parameter.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .core import TileSet
-from .presentation import GridPresentation, _window_codes, block_lcms, cut_spans, is_valid
+from .presentation import GridPresentation, _settled_size, _window_codes, is_valid
 
 
 def preceq(x: GridPresentation, y: GridPresentation, n: int) -> bool:
@@ -27,16 +27,15 @@ def preceq(x: GridPresentation, y: GridPresentation, n: int) -> bool:
 
 def saturation_window(g: GridPresentation) -> int:
     """Size from which the window language pins the plane's banded structure."""
-    s, l = cut_spans(g), block_lcms(g)
-    return max(s.x + 2 * l.x + 1, s.y + 2 * l.y + 1)
+    return max(_settled_size(g)) + 1
 
 
 class TilingFamily:
     """Ordered, named members presenting tilings of one tile set.
 
-    window is the base comparison size; pairwise comparisons enlarge it to
-    the members' saturation sizes, so enlarging window further never changes
-    the reported order.
+    window is the base comparison size; every pair is compared at one size N,
+    window raised to every member's saturation size, so enlarging window
+    further never changes the reported order.
     """
 
     def __init__(self, tileset: TileSet, members, window: int, validate: bool = True):
@@ -55,7 +54,7 @@ class TilingFamily:
         self.window = window
         self.members = members
         self._pres = dict(members)
-        self._sat = {name: saturation_window(pres) for name, pres in members}
+        self._n = max([window] + [saturation_window(pres) for _, pres in members])
         self._le: dict[tuple[str, str], bool] = {}
 
     def names(self) -> tuple[str, ...]:
@@ -65,14 +64,12 @@ class TilingFamily:
         return self._pres[name]
 
     def compare_window(self, a: str, b: str) -> int:
-        return max(self.window, self._sat[a], self._sat[b])
+        return self._n
 
     def le(self, a: str, b: str) -> bool:
         got = self._le.get((a, b))
         if got is None:
-            n = self.compare_window(a, b)
-            got = preceq(self._pres[a], self._pres[b], n)
-            self._le[(a, b)] = got
+            got = self._le[(a, b)] = preceq(self._pres[a], self._pres[b], self._n)
         return got
 
     def lt(self, a: str, b: str) -> bool:
@@ -96,11 +93,11 @@ class TilingFamily:
         return _Preorder(self)
 
     def _without(self, gone) -> "TilingFamily":
-        """The family less the gone members, sharing this family's comparison
-        cache: a comparison depends only on the window and its pair."""
+        """The family less the gone members, keeping this family's comparison
+        size N and cache, so every cached answer is one it would compute."""
         keep = [(n, p) for n, p in self.members if n not in gone]
         sub = TilingFamily(self.tileset, keep, self.window, validate=False)
-        sub._le = self._le
+        sub._n, sub._le = self._n, self._le
         return sub
 
 

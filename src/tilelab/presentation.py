@@ -103,6 +103,11 @@ def cut_spans(g: GridPresentation) -> Vec2:
     return Vec2(xs, ys)
 
 
+def _settled_size(g: GridPresentation) -> Vec2:
+    """Per axis, the cut span plus two lcm periods."""
+    return Vec2(*(s + 2 * l for s, l in zip(cut_spans(g), block_lcms(g))))
+
+
 def _corners(cuts: tuple[int, ...], w: int, step: int) -> range:
     """Corners on one axis whose length-w runs realize every run content of
     a plane cut at cuts that repeats with step outside them: every straddling

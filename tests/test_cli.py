@@ -311,6 +311,15 @@ def test_order_dot_escapes_labels(capsys, tmp_path):
     assert sorted(labels) == ["back\\\\slash", 'say \\"red\\"']
 
 
+def test_order_dot_write_failure_prints_nothing(capsys, tmp_path):
+    dot = tmp_path / "missing" / "h.dot"
+    rc = main(["order", STRIPES, FAMILY, "--window", "6", "--dot", str(dot)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_cb_json(capsys):
     rc, out = run(capsys, "cb", STRIPES, FAMILY, "--window", "6")
     assert rc == 0

@@ -77,6 +77,35 @@ def test_comparisons_use_saturated_windows(family6):
     assert family6.compare_window("a5", "a6") == 9
 
 
+def test_one_comparison_window_per_family(stripes, members, monkeypatch):
+    import tilelab.order
+    from tilelab.cb import derivative
+
+    seen = []
+
+    def recording(x, y, n):
+        seen.append(n)
+        return preceq(x, y, n)
+
+    monkeypatch.setattr(tilelab.order, "preceq", recording)
+    f = TilingFamily(stripes, sorted(members.items()), 6)
+    d = derivative(f)
+    hasse(d)
+    level_of(d, "b1")
+    assert seen  # the derivative compared pairs of its own
+    hasse(f)
+    level_of(f, "a4")
+    d2 = derivative(d)
+    assert set(seen) == {9}
+    # the second derivative keeps no member whose saturation size is 9,
+    # yet it still compares at its ancestors' size, so their cache holds
+    assert max(saturation_window(d2.presentation(n)) for n in d2.names()) < 9
+    for sub in (d, d2):
+        for a in sub.names():
+            for b in sub.names():
+                assert sub.compare_window(a, b) == f.compare_window(a, b) == 9
+
+
 def test_classes_are_singletons(family6):
     cls = equivalence_classes(family6)
     assert len(cls) == 23
