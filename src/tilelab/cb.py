@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from .core import Pattern
 from .presentation import (
     GridPresentation,
+    _ana,
     _dims_ascending,
     _key_pattern,
     _occurrence_scan,
     _settled_size,
-    _window_codes,
     period_lattice,
 )
 from .order import TilingFamily, equivalence_classes
@@ -38,19 +38,19 @@ def isolating_pattern(f: TilingFamily, name: str) -> Pattern | None:
     within the search bounds."""
     x = f.presentation(name)
     mine = next(cls for cls in equivalence_classes(f) if name in cls)
-    others = [f.presentation(o) for o in f.names() if o not in mine]
+    others = [_ana(f.presentation(o)) for o in f.names() if o not in mine]
     bw, bh = _search_bounds(f, x)
     # a single class covering x at the full bound covers every sub-window too
-    full = _window_codes(x, bw, bh)
+    full = _ana(x).rect_keys(bw, bh)
     for y in others:
-        if full <= _window_codes(y, bw, bh):
+        if full <= y.rect_keys(bw, bh):
             return None
     lat = None
     # coded keys sort like the windows' x-major state tuples
     for w, h in _dims_ascending(bw, bh):
-        cands = set(_window_codes(x, w, h))
+        cands = set(_ana(x).rect_keys(w, h))
         for y in others:
-            cands -= _window_codes(y, w, h)
+            cands -= y.rect_keys(w, h)
             if not cands:
                 break
         for key in sorted(cands):

@@ -16,10 +16,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .cb import ranks
-from .core import Alphabet, Pattern, TileSet, TorusTiling, Vec2, to_forbidden
+from .core import _PAIR_CELLS, Alphabet, Pattern, TileSet, TorusTiling, Vec2, to_forbidden
 from .lang import extensible_squares
 from .order import TilingFamily, hasse, level_of, maximal_classes, minimal_classes, preceq
 from .presentation import Block, GridPresentation, TypeB, is_valid, period_lattice, type_of
@@ -48,13 +49,11 @@ def _token_state(path, no, alphabet: Alphabet, tok: str) -> int:
 
 
 def parse_tileset(path) -> TileSet:
-    lines = _content_lines(path)
+    rest = iter(_content_lines(path))
     alphabet: Alphabet | None = None
     mode: str | None = None
     raw_patterns: list[dict[Vec2, int]] = []
-    i = 0
-    while i < len(lines):
-        no, toks = lines[i]
+    for no, toks in rest:
         head, args = toks[0], toks[1:]
         if head == "alphabet":
             if alphabet is not None:
@@ -69,27 +68,19 @@ def parse_tileset(path) -> TileSet:
             if args not in (["allowed"], ["forbidden"]):
                 raise ParseError(path, no, "mode must be 'allowed' or 'forbidden'")
             mode = args[0]
-        elif head in ("hpair", "vpair"):
+        elif head in _PAIR_CELLS:
             if alphabet is None:
                 raise ParseError(path, no, "alphabet must come first")
             if len(args) != 2:
                 raise ParseError(path, no, f"{head} takes exactly two tokens")
-            a, b = (_token_state(path, no, alphabet, t) for t in args)
-            if head == "hpair":
-                raw_patterns.append({Vec2(0, 0): a, Vec2(1, 0): b})
-            else:
-                raw_patterns.append({Vec2(0, 1): a, Vec2(0, 0): b})
+            raw_patterns.append({c: _token_state(path, no, alphabet, t) for c, t in zip(_PAIR_CELLS[head], args)})
         elif head == "pattern":
             if alphabet is None:
                 raise ParseError(path, no, "alphabet must come first")
             if args:
                 raise ParseError(path, no, "pattern starts a cell block; no arguments")
             cells: dict[Vec2, int] = {}
-            i += 1
-            while True:
-                if i >= len(lines):
-                    raise ParseError(path, no, "pattern block not closed with end")
-                cno, ctoks = lines[i]
+            for cno, ctoks in rest:
                 if ctoks == ["end"]:
                     break
                 if ctoks[0] != "cell" or len(ctoks) != 4:
@@ -102,13 +93,13 @@ def parse_tileset(path) -> TileSet:
                 if spot in cells:
                     raise ParseError(path, cno, f"duplicate cell {dx} {dy}")
                 cells[spot] = _token_state(path, cno, alphabet, ctoks[3])
-                i += 1
+            else:
+                raise ParseError(path, no, "pattern block not closed with end")
             if not cells:
                 raise ParseError(path, no, "pattern has no cells")
             raw_patterns.append(cells)
         else:
             raise ParseError(path, no, f"unknown directive {head!r}")
-        i += 1
     if alphabet is None:
         raise ParseError(path, 1, "missing alphabet line")
     ts = TileSet.from_allowed(alphabet, [Pattern(alphabet, c) for c in raw_patterns])
@@ -129,9 +120,8 @@ def parse_presentation(path, alphabet: Alphabet) -> GridPresentation:
     xcuts: tuple[int, ...] | None = None
     ycuts: tuple[int, ...] | None = None
     blocks: dict[tuple[int, int], Block] = {}
-    i = 1
-    while i < len(lines):
-        no, toks = lines[i]
+    rest = islice(lines, 1, None)
+    for no, toks in rest:
         head, args = toks[0], toks[1:]
         if head in ("xcuts", "ycuts"):
             if (xcuts if head == "xcuts" else ycuts) is not None:
@@ -156,19 +146,16 @@ def parse_presentation(path, alphabet: Alphabet) -> GridPresentation:
             if (ix, iy) in blocks:
                 raise ParseError(path, no, f"duplicate region {ix} {iy}")
             rows = []
-            for t in range(v):
-                if i + 1 + t >= len(lines):
-                    raise ParseError(path, no, f"expected {v} rows after region")
-                rno, row = lines[i + 1 + t]
+            for rno, row in islice(rest, v):
                 if len(row) != u:
                     raise ParseError(path, rno, f"expected {u} tokens in region row")
                 rows.append([_token_state(path, rno, alphabet, tok) for tok in row])
+            if len(rows) < v:
+                raise ParseError(path, no, f"expected {v} rows after region")
             data = tuple(tuple(rows[v - 1 - y][x] for y in range(v)) for x in range(u))
             blocks[(ix, iy)] = Block(u, v, data)
-            i += v
         else:
             raise ParseError(path, no, f"unknown directive {head!r}")
-        i += 1
     xcuts = xcuts or ()
     ycuts = ycuts or ()
     for ix in range(len(xcuts) + 1):
@@ -184,10 +171,6 @@ def parse_presentation(path, alphabet: Alphabet) -> GridPresentation:
     return GridPresentation(alphabet, xcuts, ycuts, regions)
 
 
-_HSHAPE = frozenset((Vec2(0, 0), Vec2(1, 0)))
-_VSHAPE = frozenset((Vec2(0, 0), Vec2(0, 1)))
-
-
 def emit_tileset(ts: TileSet) -> str:
     out = ["alphabet " + " ".join(ts.alphabet.tokens), "mode allowed"]
     toks = ts.alphabet.tokens
@@ -196,10 +179,9 @@ def emit_tileset(ts: TileSet) -> str:
             # an allowed-mode file cannot state a shape that allows nothing
             raise ValueError(f"shape {sorted(tuple(c) for c in shape)} allows no pattern")
         ordered = sorted(pats, key=lambda p: p.key())
-        if shape == _HSHAPE:
-            out.extend(f"hpair {toks[p.cells[Vec2(0, 0)]]} {toks[p.cells[Vec2(1, 0)]]}" for p in ordered)
-        elif shape == _VSHAPE:
-            out.extend(f"vpair {toks[p.cells[Vec2(0, 1)]]} {toks[p.cells[Vec2(0, 0)]]}" for p in ordered)
+        head = next((h for h, cells in _PAIR_CELLS.items() if shape == frozenset(cells)), None)
+        if head:
+            out.extend(" ".join([head, *(toks[p.cells[c]] for c in _PAIR_CELLS[head])]) for p in ordered)
         else:
             for p in ordered:
                 out.append("pattern")
@@ -255,8 +237,7 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _cmd_patterns(args) -> int:
-    ts = parse_tileset(args.tileset)
+def _cmd_patterns(ts: TileSet, args) -> int:
     pats = extensible_squares(ts, args.size, args.margin)
     if args.count:
         print(len(pats))
@@ -265,15 +246,13 @@ def _cmd_patterns(args) -> int:
     return 0
 
 
-def _cmd_torus(args) -> int:
-    ts = parse_tileset(args.tileset)
+def _cmd_torus(ts: TileSet, args) -> int:
     tilings = enumerate_torus(ts, args.max_p, args.max_q)
     _emit({"count": len(tilings), "tilings": [_torus_json(t, ts.alphabet) for t in tilings]})
     return 0
 
 
-def _cmd_classify(args) -> int:
-    ts = parse_tileset(args.tileset)
+def _cmd_classify(ts: TileSet, args) -> int:
     res = classify(ts, args.budget)
     if isinstance(res, Empty):
         _emit({"outcome": "empty", "square": res.n})
@@ -284,8 +263,7 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_weak_periodic(args) -> int:
-    ts = parse_tileset(args.tileset)
+def _cmd_weak_periodic(ts: TileSet, args) -> int:
     pres = weak_periodic_witness(ts, args.max_period)
     if pres is None:
         _emit({"found": False, "max_period": args.max_period})
@@ -300,16 +278,14 @@ def _cmd_weak_periodic(args) -> int:
     return 0
 
 
-def _cmd_validate(args) -> int:
-    ts = parse_tileset(args.tileset)
+def _cmd_validate(ts: TileSet, args) -> int:
     g = parse_presentation(args.presentation, ts.alphabet)
     ok = is_valid(g, ts)
     _emit({"valid": ok})
     return 0 if ok else 1
 
 
-def _cmd_analyze(args) -> int:
-    ts = parse_tileset(args.tileset)
+def _cmd_analyze(ts: TileSet, args) -> int:
     g = parse_presentation(args.presentation, ts.alphabet)
     ok = is_valid(g, ts)
     t = type_of(g)
@@ -344,8 +320,7 @@ def _dot(h) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_order(args) -> int:
-    ts = parse_tileset(args.tileset)
+def _cmd_order(ts: TileSet, args) -> int:
     f = _load_family(ts, args.family, args.window)
     h = hasse(f)
     minimal = {cls[0] for cls in minimal_classes(f)}
@@ -384,8 +359,7 @@ def _cmd_order(args) -> int:
     return 0
 
 
-def _cmd_cb(args) -> int:
-    ts = parse_tileset(args.tileset)
+def _cmd_cb(ts: TileSet, args) -> int:
     f = _load_family(ts, args.family, args.window)
     report = ranks(f)
     _emit(
@@ -405,56 +379,49 @@ def main(argv=None) -> int:
         description="Analyze tile sets, their pattern languages, and presented tilings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tileset = argparse.ArgumentParser(add_help=False)
+    tileset.add_argument("tileset")
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("family", help="directory of .pres files; stems become member names")
+    family.add_argument("--window", type=int, required=True)
 
-    p = sub.add_parser("patterns", help="enumerate admissible (or completable) squares")
-    p.add_argument("tileset")
+    p = sub.add_parser("patterns", parents=[tileset], help="enumerate admissible (or completable) squares")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--margin", type=int, default=0, help="demand completion to size + 2*margin")
     p.add_argument("--count", action="store_true", help="print only the count")
     p.set_defaults(func=_cmd_patterns)
 
-    p = sub.add_parser("torus", help="enumerate torus tilings up to translation")
-    p.add_argument("tileset")
+    p = sub.add_parser("torus", parents=[tileset], help="enumerate torus tilings up to translation")
     p.add_argument("--max-p", type=int, required=True)
     p.add_argument("--max-q", type=int, required=True)
     p.set_defaults(func=_cmd_torus)
 
-    p = sub.add_parser("classify", help="bounded emptiness / periodicity ladder")
-    p.add_argument("tileset")
+    p = sub.add_parser("classify", parents=[tileset], help="bounded emptiness / periodicity ladder")
     p.add_argument("--budget", type=int, required=True)
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("weak-periodic", help="search for a one-directionally periodic tiling")
-    p.add_argument("tileset")
+    p = sub.add_parser("weak-periodic", parents=[tileset], help="search for a one-directionally periodic tiling")
     p.add_argument("--max-period", type=int, required=True)
     p.set_defaults(func=_cmd_weak_periodic)
 
-    p = sub.add_parser("validate", help="check a presented plane against a tile set")
-    p.add_argument("tileset")
+    p = sub.add_parser("validate", parents=[tileset], help="check a presented plane against a tile set")
     p.add_argument("presentation")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("analyze", help="validity, recurrence type, and period lattice")
-    p.add_argument("tileset")
+    p = sub.add_parser("analyze", parents=[tileset], help="validity, recurrence type, and period lattice")
     p.add_argument("presentation")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("order", help="extraction order of a family directory")
-    p.add_argument("tileset")
-    p.add_argument("family", help="directory of .pres files; stems become member names")
-    p.add_argument("--window", type=int, required=True)
+    p = sub.add_parser("order", parents=[tileset, family], help="extraction order of a family directory")
     p.add_argument("--dot", default=None, help="also write the diagram in dot format")
     p.set_defaults(func=_cmd_order)
 
-    p = sub.add_parser("cb", help="isolation ranks of a family directory")
-    p.add_argument("tileset")
-    p.add_argument("family", help="directory of .pres files; stems become member names")
-    p.add_argument("--window", type=int, required=True)
+    p = sub.add_parser("cb", parents=[tileset, family], help="isolation ranks of a family directory")
     p.set_defaults(func=_cmd_cb)
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(parse_tileset(args.tileset), args)
     except (OSError, ValueError) as e:  # ParseError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2

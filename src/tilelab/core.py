@@ -176,6 +176,10 @@ def appears_in(needle: Pattern, haystack: Pattern) -> bool:
     return False
 
 
+# the cells of a pair's two tokens, in the order written: hpair (left, right), vpair (top, bottom)
+_PAIR_CELLS = {"hpair": (Vec2(0, 0), Vec2(1, 0)), "vpair": (Vec2(0, 1), Vec2(0, 0))}
+
+
 def _shape_sort_key(shape: frozenset[Vec2]):
     return (len(shape), sorted(shape))
 
@@ -232,11 +236,11 @@ class TileSet:
     ) -> "TileSet":
         """Nearest-neighbour system from allowed (left, right) and (top, bottom) token pairs."""
         idx = alphabet.index
-        pats = []
-        for left, right in hpairs:
-            pats.append(Pattern(alphabet, {Vec2(0, 0): idx[left], Vec2(1, 0): idx[right]}))
-        for top, bottom in vpairs:
-            pats.append(Pattern(alphabet, {Vec2(0, 1): idx[top], Vec2(0, 0): idx[bottom]}))
+        pats = [
+            Pattern(alphabet, {c: idx[t] for c, t in zip(_PAIR_CELLS[head], pair, strict=True)})
+            for head, pairs in (("hpair", hpairs), ("vpair", vpairs))
+            for pair in pairs
+        ]
         return cls.from_allowed(alphabet, pats)
 
     @cached_property

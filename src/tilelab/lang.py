@@ -36,40 +36,31 @@ def _anchor_checks(ts: TileSet, width: int, height: int, wrap_y: bool = False):
     return groups
 
 
-def _fill(nstates: int, size: int, groups, prefix: dict[int, int] | None = None) -> Iterator[list[int]]:
+def _fill(nstates: int, size: int, groups) -> Iterator[list[int]]:
     """Depth-first fill of a flat cell array, branching states in ascending
     order; groups[i] holds the windows whose last cell is i (_anchor_checks).
 
     The search is a loop over the cell index, with the cell array as its
-    stack, so it has no depth limit.  prefix pins cells to fixed values; a
-    pinned cell is not branched on, but the windows it completes are checked
-    like any other, so a fill whose pinned cells already break a window
-    yields nothing.
+    stack, so it has no depth limit.
     """
-    prefix = prefix or {}
-    cells = [prefix.get(i, -1) for i in range(size)]
-    i, forward = 0, True
+    cells = [-1] * size
+    i = 0
     while i >= 0:
         if i == size:
             yield cells[:]
-            i, forward = i - 1, False
-        elif i in prefix:
-            if forward and all(get(cells) in keys for get, keys in groups[i]):
-                i += 1
-            else:
-                i, forward = i - 1, False
-        else:
-            for s in range(cells[i] + 1, nstates):
-                cells[i] = s
-                for get, keys in groups[i]:
-                    if get(cells) not in keys:
-                        break
-                else:
-                    i, forward = i + 1, True
+            i -= 1
+            continue
+        for s in range(cells[i] + 1, nstates):
+            cells[i] = s
+            for get, keys in groups[i]:
+                if get(cells) not in keys:
                     break
             else:
-                cells[i] = -1
-                i, forward = i - 1, False
+                i += 1
+                break
+        else:
+            cells[i] = -1
+            i -= 1
 
 
 def _grids(ts: TileSet, width: int, height: int, wrap_y: bool = False):
@@ -107,11 +98,12 @@ def extensible_squares(ts: TileSet, n: int, margin: int) -> list[Pattern]:
     groups = _anchor_checks(ts, big, big)
     out = []
     for p in iter_admissible_squares(ts, n):
-        pin = {
-            (margin + c.x) * big + (margin + c.y): s
-            for c, s in p.cells.items()
-        }
-        if next(_fill(len(ts.alphabet), big * big, groups, pin), None) is not None:
+        # each center cell is pinned by a one-cell window checked before the others
+        pinned = groups[:]
+        for c, s in p.cells.items():
+            j = (margin + c.x) * big + (margin + c.y)
+            pinned[j] = [(_getter((j,)), {(s,)}), *groups[j]]
+        if next(_fill(len(ts.alphabet), big * big, pinned), None) is not None:
             out.append(p)
     return out
 

@@ -10,10 +10,10 @@ and the reported order is a property of the planes, not of a window parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 from .core import TileSet
-from .presentation import GridPresentation, _settled_size, _window_codes, is_valid
+from .presentation import GridPresentation, _ana, _settled_size, is_valid
 
 
 def preceq(x: GridPresentation, y: GridPresentation, n: int) -> bool:
@@ -22,7 +22,7 @@ def preceq(x: GridPresentation, y: GridPresentation, n: int) -> bool:
         raise ValueError("alphabet mismatch")
     if n < 1:
         raise ValueError("window size must be positive")
-    return _window_codes(x, n, n) <= _window_codes(y, n, n)
+    return _ana(x).rect_keys(n, n) <= _ana(y).rect_keys(n, n)
 
 
 def saturation_window(g: GridPresentation) -> int:
@@ -112,12 +112,11 @@ class _Preorder:
         self.index = {name: i for i, cls in enumerate(f._classes) for name in cls}
         self.above = [{j for j in k if up[i][j] and not up[j][i]} for i in k]
         self.below = [{i for i in k if j in self.above[i]} for j in k]
-
-        @cache
-        def depth(j: int) -> int:
-            return 1 + max((depth(i) for i in self.below[j]), default=-1)
-
-        self.levels = [depth(j) for j in k]
+        # below is transitively closed, so a class has more classes below it
+        # than any class under it: by that count, each level reads settled ones
+        self.levels = [0] * len(up)
+        for j in sorted(k, key=lambda j: len(self.below[j])):
+            self.levels[j] = 1 + max((self.levels[i] for i in self.below[j]), default=-1)
 
 
 def equivalence_classes(f: TilingFamily) -> tuple[tuple[str, ...], ...]:

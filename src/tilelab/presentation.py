@@ -20,6 +20,7 @@ the same window either way, and only the window returned is decoded.
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -120,10 +121,11 @@ class _Analysis:
     """Per-presentation scan index: a materialized cell grid, its column codes
     per run height, and the coded window-key sets asked for so far."""
 
-    __slots__ = ("g", "lcms", "k", "keys", "grid", "bounds", "codes")
+    __slots__ = ("xcuts", "ycuts", "regions", "lcms", "k", "keys", "grid", "bounds", "codes")
 
     def __init__(self, g: GridPresentation):
-        self.g = g
+        # the plane's parts, not the plane, so an index never keeps its plane alive
+        self.xcuts, self.ycuts, self.regions = g.xcuts, g.ycuts, g.regions
         self.lcms = block_lcms(g)
         self.k = len(g.alphabet)
         self.keys: dict[tuple[int, int], frozenset] = {}
@@ -139,8 +141,8 @@ class _Analysis:
         straddling corners cover every content exactly; with no cuts on an
         axis one lcm's worth of corners suffices.
         """
-        g, (ux, vy) = self.g, self.lcms
-        return _corners(g.xcuts, w, ux), _corners(g.ycuts, h, vy)
+        ux, vy = self.lcms
+        return _corners(self.xcuts, w, ux), _corners(self.ycuts, h, vy)
 
     def ensure(self, x0: int, x1: int, y0: int, y1: int) -> None:
         """Grow the materialized grid to cover [x0, x1] x [y0, y1].
@@ -153,12 +155,12 @@ class _Analysis:
             if bx0 <= x0 and x1 <= bx1 and by0 <= y0 and y1 <= by1:
                 return
             x0, x1, y0, y1 = min(x0, bx0), max(x1, bx1), min(y0, by0), max(y1, by1)
-        g = self.g
-        xedges = [x0, *(c for c in g.xcuts if x0 < c <= x1), x1 + 1]
-        yedges = [y0, *(c for c in g.ycuts if y0 < c <= y1), y1 + 1]
+        xcuts, ycuts = self.xcuts, self.ycuts
+        xedges = [x0, *(c for c in xcuts if x0 < c <= x1), x1 + 1]
+        yedges = [y0, *(c for c in ycuts if y0 < c <= y1), y1 + 1]
         grid: list[list[int]] = []
         for xlo, xhi in zip(xedges, xedges[1:]):
-            blocks = g.regions[bisect_right(g.xcuts, xlo)]
+            blocks = self.regions[bisect_right(xcuts, xlo)]
             u = lcm_all(b.u for b in blocks)
             shared: dict[int, list[int]] = {}
             for x in range(xlo, xhi):
@@ -166,7 +168,7 @@ class _Analysis:
                 if col is None:
                     col = shared[x % u] = []
                     for lo, hi in zip(yedges, yedges[1:]):
-                        b = blocks[bisect_right(g.ycuts, lo)]
+                        b = blocks[bisect_right(ycuts, lo)]
                         s, n = lo % b.v, hi - lo
                         col += (b.data[x % b.u] * ((s + n) // b.v + 1))[s:s + n]
                 grid.append(col)
@@ -197,13 +199,14 @@ class _Analysis:
         return chain.from_iterable(zip(*cols[i:i + w]) for i in range(len(xs)))
 
     def rect_keys(self, w: int, h: int) -> frozenset:
+        """All distinct w x h window contents as coded keys (see the module docstring)."""
         got = self.keys.get((w, h))
         if got is None:
             got = self.keys[(w, h)] = frozenset(self.windows(w, h, *self.corner_box(w, h)))
         return got
 
 
-# keyed by id(g): each entry holds its plane (_Analysis.g), so no live key's id is reused
+# keyed by id(g); a finalizer drops an entry when its plane dies, before the id can be reused
 _ANALYSES: dict[int, _Analysis] = {}
 
 
@@ -211,6 +214,7 @@ def _ana(g: GridPresentation) -> _Analysis:
     a = _ANALYSES.get(id(g))
     if a is None:
         a = _ANALYSES[id(g)] = _Analysis(g)
+        weakref.finalize(g, _ANALYSES.pop, id(g), None)
     return a
 
 
@@ -222,11 +226,6 @@ def _decode(key: tuple[int, ...], h: int, k: int) -> tuple[int, ...]:
 def _key_pattern(alphabet: Alphabet, key: tuple[int, ...], h: int) -> Pattern:
     flat = _decode(key, h, len(alphabet))
     return Pattern._trusted(alphabet, {Vec2(dx, dy): flat[dx * h + dy] for dx in range(len(key)) for dy in range(h)})
-
-
-def _window_codes(g: GridPresentation, w: int, h: int) -> frozenset:
-    """All distinct w x h window contents as coded keys (see the module docstring)."""
-    return _ana(g).rect_keys(w, h)
 
 
 def window_at(g: GridPresentation, corner, n: int) -> Pattern:
@@ -242,13 +241,13 @@ def rect_window_keys(g: GridPresentation, w: int, h: int) -> frozenset:
     if w < 1 or h < 1:
         raise ValueError("window size must be positive")
     k = len(g.alphabet)
-    return frozenset(_decode(key, h, k) for key in _window_codes(g, w, h))
+    return frozenset(_decode(key, h, k) for key in _ana(g).rect_keys(w, h))
 
 
 def pattern_set(g: GridPresentation, n: int) -> set[Pattern]:
     if n < 1:
         raise ValueError("window size must be positive")
-    return {_key_pattern(g.alphabet, key, n) for key in _window_codes(g, n, n)}
+    return {_key_pattern(g.alphabet, key, n) for key in _ana(g).rect_keys(n, n)}
 
 
 @dataclass(frozen=True)
@@ -305,7 +304,7 @@ def occurrences(g: GridPresentation, p: Pattern):
     w, h = p.extents()
     cells = [(c.x * h + c.y, s) for c, s in p.cells.items()]
     k = len(g.alphabet)
-    flats = ((key, _decode(key, h, k)) for key in _window_codes(g, w, h))
+    flats = ((key, _decode(key, h, k)) for key in _ana(g).rect_keys(w, h))
     match = {key for key, flat in flats if all(flat[i] == s for i, s in cells)}
     if not match:
         return Zero()
@@ -326,7 +325,7 @@ def is_valid(g: GridPresentation, ts: TileSet) -> bool:
         w = max(c.x for c in cells) + 1
         h = max(c.y for c in cells) + 1
         idx = [c.x * h + c.y for c in cells]
-        for key in _window_codes(g, w, h):
+        for key in _ana(g).rect_keys(w, h):
             flat = _decode(key, h, k)
             if tuple(flat[i] for i in idx) not in allowed:
                 return False

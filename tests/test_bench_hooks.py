@@ -42,7 +42,9 @@ def test_every_tilelab_span_target_resolves():
 def test_scans_fill_the_index_table_and_clear_empties_it():
     analyses = tilelab.presentation._ANALYSES
     analyses.clear()
-    rect_window_keys(uniform(Alphabet(("a", "b")), 1), 2, 2)
+    # an index lives as long as its plane, so the plane is kept in a local
+    g = uniform(Alphabet(("a", "b")), 1)
+    rect_window_keys(g, 2, 2)
     assert len(analyses) == 1
     analyses.clear()
     assert not analyses

@@ -79,3 +79,18 @@ def test_presentation_round_trip(scratch, g):
     f = scratch / "rt.pres"
     f.write_text(emit_presentation(g))
     assert parse_presentation(f, g.alphabet) == g
+
+
+def test_pair_lines_read_the_same_in_the_library_and_the_file(scratch):
+    """hpair is (left, right) and vpair (top, bottom) in TileSet.dominoes,
+    in parse_tileset and in emit_tileset alike; every pair is asymmetric,
+    so flipping either orientation on any side changes the set."""
+    al = Alphabet(("a", "b", "c"))
+    ts = TileSet.dominoes(al, [("a", "b"), ("b", "c")], [("a", "c")])
+    lines = ["vpair a c", "hpair a b", "hpair b c"]  # in the order emit_tileset writes shapes
+    assert Pattern(al, {Vec2(0, 0): 0, Vec2(1, 0): 1}) in ts.allowed[ts.shapes.index(frozenset(HSHAPE))]
+    assert Pattern(al, {Vec2(0, 1): 0, Vec2(0, 0): 2}) in ts.allowed[ts.shapes.index(frozenset(VSHAPE))]
+    f = scratch / "pairs.tiles"
+    f.write_text("\n".join(["alphabet a b c", *lines]) + "\n")
+    assert parse_tileset(f) == ts
+    assert emit_tileset(ts).splitlines()[2:] == lines

@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in it, and only `solver`
+"""Every name a library module imports is used in it, every private
+module-level helper is used somewhere in the package, and only `solver`
 reaches outside the standard library.
 
 `__init__.py` is exempt from the first check: its imports are the package's
@@ -91,3 +92,48 @@ def test_detects_a_third_party_import():
     tree = ast.parse("import os.path\nfrom . import core\nfrom tilelab.core import Vec2\n"
                      "import networkx as nx\nfrom numpy import array\n")
     assert _third_party(tree) == [("networkx", 4), ("numpy", 5)]
+
+
+def _private_defs(tree: ast.Module):
+    """(name, statement) for each module-level `_name` a statement defines; dunders are not helpers."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from ((n, node) for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+def _referenced(node: ast.AST) -> set[str]:
+    """Names and attributes a statement mentions, string annotations included."""
+    return _used(node) | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def _dead_helpers(trees: dict[str, ast.Module]) -> list[str]:
+    """Private module-level names that no other statement in the package reads."""
+    stmts = [(name, node) for name, tree in trees.items() for node in tree.body]
+    dead = []
+    for name, tree in trees.items():
+        for helper, where in _private_defs(tree):
+            if not any(helper in _referenced(node) for _, node in stmts if node is not where):
+                dead.append(f"{name}:{where.lineno}: {helper}")
+    return dead
+
+
+def test_no_dead_private_helpers():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    assert sum(1 for tree in trees.values() for _ in _private_defs(tree)) > 40
+    dead = _dead_helpers(trees)
+    assert not dead, "private helpers used nowhere:\n" + "\n".join(dead)
+
+
+def test_detects_a_dead_helper():
+    trees = {
+        "a.py": ast.parse("_LIMIT = 3\n_table = {}\ndef _walk(n):\n    return _walk(n - 1)\n"
+                          "def _read() -> '_Node':\n    return _table\nclass _Node:\n    pass\n"),
+        "b.py": ast.parse("from a import _read\nx = _read()\n"),
+    }
+    assert _dead_helpers(trees) == ["a.py:1: _LIMIT", "a.py:3: _walk"]

@@ -6,6 +6,7 @@ from oracle import brute
 from conftest import corpus_planes, make_a
 from tilelab.order import (
     TilingFamily,
+    _Preorder,
     equivalence_classes,
     hasse,
     level_of,
@@ -219,3 +220,17 @@ def test_preorder_matches_oracle_on_random_subfamilies(family6):
         assert hasse(d) == hasse(fresh)
         assert [level_of(d, n) for n in d.names()] == [level_of(fresh, n) for n in fresh.names()]
         _check_against_oracle(d, le)
+
+
+def test_levels_of_a_long_chain():
+    """A 260-class chain, class i strictly above class j when i < j: levels
+    are read without recursion, so the depth of the chain is no limit."""
+
+    class Chain:
+        _classes = tuple((i,) for i in range(260))
+
+        @staticmethod
+        def le(a, b):
+            return a >= b
+
+    assert _Preorder(Chain()).levels == list(range(259, -1, -1))

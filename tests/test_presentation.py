@@ -439,3 +439,15 @@ def test_presentation_pickle_and_copy_round_trips(seed):
     period_lattice(g)
     assert id(g) in _ANALYSES
     assert pickle.dumps(g) == before
+
+
+def test_an_index_lives_as_long_as_its_plane(stripes):
+    """Scanning many short-lived planes leaves one entry per live plane."""
+    _ANALYSES.clear()
+    for _ in range(20):
+        for f in sorted((CORPUS / "family").glob("a*.pres")):
+            g = parse_presentation(f, stripes.alphabet)
+            type_of(g)
+    assert list(_ANALYSES) == [id(g)]
+    del g
+    assert not _ANALYSES
