@@ -14,6 +14,7 @@ leftmost/bottommost (unbounded) band.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from itertools import islice
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from .cb import ranks
 from .core import _PAIR_CELLS, Alphabet, Pattern, TileSet, TorusTiling, Vec2, to_forbidden
-from .lang import extensible_squares
+from .lang import _square_count, extensible_squares
 from .order import TilingFamily, hasse, level_of, maximal_classes, minimal_classes, preceq
 from .presentation import Block, GridPresentation, TypeB, is_valid, period_lattice, type_of
 from .solver import Empty, PeriodicFound, classify, enumerate_torus, weak_periodic_witness
@@ -238,11 +239,13 @@ def _emit(obj) -> None:
 
 
 def _cmd_patterns(ts: TileSet, args) -> int:
-    pats = extensible_squares(ts, args.size, args.margin)
-    if args.count:
-        print(len(pats))
-        return 0
-    _emit({"count": len(pats), "patterns": [_pattern_json(p) for p in pats]})
+    if args.count and args.margin == 0:
+        print(_square_count(ts, args.size))  # a walk count: no square is built
+    elif args.count:
+        print(len(extensible_squares(ts, args.size, args.margin)))
+    else:
+        pats = extensible_squares(ts, args.size, args.margin)
+        _emit({"count": len(pats), "patterns": [_pattern_json(p) for p in pats]})
     return 0
 
 
@@ -373,7 +376,8 @@ def _cmd_cb(ts: TileSet, args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:  # built at the first call, not at import
     parser = argparse.ArgumentParser(
         prog="tilelab",
         description="Analyze tile sets, their pattern languages, and presented tilings.",
@@ -418,8 +422,11 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("cb", parents=[tileset, family], help="isolation ranks of a family directory")
     p.set_defaults(func=_cmd_cb)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(parse_tileset(args.tileset), args)
     except (OSError, ValueError) as e:  # ParseError is a ValueError

@@ -147,8 +147,12 @@ def build_transfer_graph(ts: TileSet, q: int, wrap: bool) -> TransferGraph:
     return TransferGraph(q, wrap, cols, vertices, edges)
 
 
+def _adjacency(g: TransferGraph) -> list[dict[int, int]]:
+    return [dict.fromkeys(succ, 1) for succ in g.successors().values()]
+
+
 def _mat_mul(a, b):
-    """Product of square matrices stored sparsely: row i is {j: entry}, zeros left out."""
+    """Product of matrices stored sparsely: row i is {j: entry}, zeros left out."""
     out: list[dict[int, int]] = [{} for _ in a]
     for acc, row in zip(out, a):
         for k, x in row.items():
@@ -173,8 +177,18 @@ def count_torus(ts: TileSet, p: int, q: int) -> int:
     """Number of valid p x q torus blocks, as closed p-walks in the wrap graph."""
     if p < 1:
         raise ValueError("p must be positive")
-    g = build_transfer_graph(ts, q, wrap=True)
-    a: list[dict[int, int]] = [{} for _ in g.vertices]
-    for i, j in g.edges:
-        a[i][j] = a[i].get(j, 0) + 1
+    a = _adjacency(build_transfer_graph(ts, q, wrap=True))
     return sum(row.get(i, 0) for i, row in enumerate(_mat_pow(a, p)))
+
+
+def _square_count(ts: TileSet, n: int) -> int:
+    """len(admissible_squares(ts, n)) as (n - cols)-step walks on the open height-n strip graph:
+    each window of the square lies in some cols + 1 adjacent columns, so in one edge."""
+    cols = max(ts.hextent - 1, 1)
+    if n <= cols:  # also rejects n < 1
+        return len(admissible_squares(ts, n))
+    g = build_transfer_graph(ts, n, wrap=False)
+    a, walks = _adjacency(g), [dict.fromkeys(range(len(g.vertices)), 1)]
+    for _ in range(n - cols):
+        walks = _mat_mul(walks, a)
+    return sum(walks[0].values())

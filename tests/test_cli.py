@@ -347,21 +347,49 @@ def test_missing_file_exit_code(capsys):
     assert rc == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ("torus", STRIPES, "--max-p", "0", "--max-q", "2"),
-    ("torus", STRIPES, "--max-p", "2", "--max-q", "0"),
-    ("classify", STRIPES, "--budget", "0"),
-    ("weak-periodic", STRIPES, "--max-period", "0"),
-], ids=["torus-p", "torus-q", "classify", "weak-periodic"])
-def test_nonpositive_bound_exit_code(capsys, argv):
+@pytest.mark.parametrize("argv,err", [
+    (("torus", STRIPES, "--max-p", "0", "--max-q", "2"), "maxp and maxq must be positive"),
+    (("torus", STRIPES, "--max-p", "2", "--max-q", "0"), "maxp and maxq must be positive"),
+    (("classify", STRIPES, "--budget", "0"), "budget must be positive"),
+    (("weak-periodic", STRIPES, "--max-period", "0"), "maxq must be positive"),
+    (("patterns", STRIPES, "--size", "0"), "n must be positive"),
+    (("patterns", STRIPES, "--size", "0", "--count"), "n must be positive"),
+    (("patterns", STRIPES, "--size", "2", "--margin", "-1", "--count"), "margin must be >= 0"),
+], ids=["torus-p", "torus-q", "classify", "weak-periodic", "patterns", "patterns-count", "patterns-margin"])
+def test_nonpositive_bound_exit_code(capsys, argv, err):
     assert main(list(argv)) == 2
-    assert capsys.readouterr().out == ""
+    assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
 def test_missing_required_flag():
     with pytest.raises(SystemExit) as e:
         main(["order", STRIPES, FAMILY])
     assert e.value.code == 2
+
+
+def test_parser_is_built_at_the_first_call():
+    code = "import tilelab.cli as c; print(c._parser.cache_info().currsize)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert res.stdout == "0\n"
+
+
+def _fresh(*argv):
+    res = subprocess.run([sys.executable, "-m", "tilelab.cli", *argv], capture_output=True, text=True)
+    return res.returncode, res.stdout, res.stderr
+
+
+def test_a_usage_error_leaves_the_shared_parser_as_new(capsys):
+    """One process making a bad call and then a good one prints what two
+    fresh processes print."""
+    bad = ("patterns", STRIPES, "--size", "x", "--count")
+    good = ("patterns", STRIPES, "--size", "2", "--count")
+    with pytest.raises(SystemExit) as e:
+        main(list(bad))
+    first = capsys.readouterr()
+    assert (e.value.code, first.out, first.err) == _fresh(*bad)
+    rc = main(list(good))
+    second = capsys.readouterr()
+    assert (rc, second.out, second.err) == _fresh(*good) == (0, "11\n", "")
 
 
 def test_module_entry_point():

@@ -8,7 +8,8 @@ are two columns wide) and a 3 x 1 rule beside a vertical domino.  The torus
 walks are also checked against a flat fill of the wrapped torus, and on tori
 up to 6 wide against count_torus.  Admissible and extensible squares, and
 the patterns built without per-cell checks, are checked on domino sets with
-and without an extra 2 x 2 or 3 x 1 rule; the pruned Lyndon-walk search is
+and without an extra 2 x 2 or 3 x 1 rule, and so is the square count read
+off walks on the open transfer graph; the pruned Lyndon-walk search is
 checked on random graphs against every closed walk.
 """
 
@@ -18,11 +19,13 @@ from itertools import product
 import pytest
 
 from oracle import brute
+from tilelab.cli import parse_tileset
 from tilelab.core import Alphabet, Pattern, TileSet, TorusTiling, Vec2, to_forbidden
 from tilelab.lang import (
     TransferGraph,
     _fill,
     _getter,
+    _square_count,
     admissible_squares,
     build_transfer_graph,
     count_torus,
@@ -241,6 +244,47 @@ def test_unchecked_patterns_equal_checked_ones(extra, nstates, seed):
         checked = Pattern(p.alphabet, dict(p.cells))
         assert p == checked and hash(p) == hash(checked)
         assert all(type(c) is Vec2 for c in p.cells)
+
+
+COUNT_CASES = [(extra, nstates, seed) for extra in EXTRA for nstates in (2, 3) for seed in range(2)]
+
+
+@pytest.mark.parametrize("extra,nstates,seed", COUNT_CASES)
+def test_square_count_matches_oracle(extra, nstates, seed):
+    """The walk count equals the squares of the fill and of the oracle.  The
+    3 x 1 rule makes the graph's vertices two columns wide, so n = 1 (below
+    cols) and n = 2 (at cols) take the direct count."""
+    rng = random.Random(f"count/{extra}/{nstates}/{seed}")
+    density = 0.8 if nstates == 2 else 0.6  # few languages die out, none outgrows the oracle
+    ts = _random_tileset(rng, nstates, (HDOMINO, VDOMINO) + EXTRA[extra], density)
+    cons = _constraints(ts)
+    for n in range(1, 5):
+        want = len(brute.squares_rect(nstates, cons, n, n))
+        assert _square_count(ts, n) == len(admissible_squares(ts, n)) == want, n
+
+
+def test_square_count_in_forbidden_mode(tmp_path):
+    f = tmp_path / "forbidden.tiles"
+    f.write_text("alphabet a b\nmode forbidden\nhpair b b\nvpair b b\n"
+                 "pattern\ncell 0 0 a\ncell 1 0 a\ncell 2 0 a\nend\n")
+    ts = parse_tileset(f)
+    cons = _constraints(ts)
+    for n in range(1, 5):
+        want = len(brute.squares_rect(2, cons, n, n))
+        assert _square_count(ts, n) == len(admissible_squares(ts, n)) == want, n
+
+
+def test_square_count_of_dying_and_constant_languages():
+    al = Alphabet(("a", "b"))
+    # no single cell is allowed: nothing at any size
+    nothing = TileSet(al, (frozenset({Vec2(0, 0)}),), (frozenset(),))
+    # a b is the only row, so squares die at width 3
+    dying = TileSet.dominoes(al, [("a", "b")], [("a", "a"), ("b", "b")])
+    for n in range(1, 5):
+        assert _square_count(nothing, n) == len(admissible_squares(nothing, n)) == 0
+        assert _square_count(dying, n) == len(admissible_squares(dying, n)) == [2, 1, 0, 0][n - 1]
+    one = TileSet.dominoes(Alphabet(("a",)), [("a", "a")], [("a", "a")])
+    assert _square_count(one, 32) == len(admissible_squares(one, 32)) == 1
 
 
 def _lyndon_walks_brute(n: int, edges, p: int):
