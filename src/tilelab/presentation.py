@@ -4,8 +4,9 @@ A presentation cuts the plane into x-bands and y-bands and fills each band
 product with a periodic block, anchored at the global origin.  Everything a
 band structure can ask (window languages, occurrence counts, period lattices,
 recurrence type) reduces to finite scans whose ranges come from the band
-spans plus one block period of margin on each side; the scan-range arguments
-are spelled out at the functions that rely on them.
+spans plus, on each side, one step of that side's extreme band (the lcm of
+its own block periods); the scan-range arguments are spelled out at the
+functions that rely on them.
 
 Every scan reads one index per presentation object (`_Analysis`): a cell grid
 filled block by block, and per run height h its column codes, the h cells
@@ -109,24 +110,38 @@ def _settled_size(g: GridPresentation) -> Vec2:
     return Vec2(*(s + 2 * l for s, l in zip(cut_spans(g), block_lcms(g))))
 
 
-def _corners(cuts: tuple[int, ...], w: int, step: int) -> range:
+def _band_steps(g: GridPresentation) -> tuple[int, int, int, int]:
+    """(left, right, bottom, top): per side, the lcm of the block periods
+    along that axis of the extreme band on that side.
+
+    A window wholly inside an extreme band is invariant under that band's
+    step on that axis, whatever bands it crosses on the other axis: every
+    block it reads lies in that band, has its period on the axis dividing
+    the step, and is anchored at the origin.  With no cut on an axis both
+    sides are the one band, so left == right (or bottom == top)."""
+    r = g.regions
+    return (lcm_all(b.u for b in r[0]), lcm_all(b.u for b in r[-1]),
+            lcm_all(col[0].v for col in r), lcm_all(col[-1].v for col in r))
+
+
+def _corners(cuts: tuple[int, ...], w: int, lo: int, hi: int) -> range:
     """Corners on one axis whose length-w runs realize every run content of
-    a plane cut at cuts that repeats with step outside them: every straddling
-    corner plus one step deep into each extreme band, or one step's worth of
-    corners when there is no cut."""
-    return range(min(cuts) - w - step, max(cuts) + step + 1) if cuts else range(0, step)
+    a plane cut at cuts that repeats with step lo below them and hi above:
+    every straddling corner plus one step deep into each extreme band, or
+    one step's worth of corners when there is no cut (then lo == hi)."""
+    return range(min(cuts) - w - lo, max(cuts) + hi + 1) if cuts else range(0, lo)
 
 
 class _Analysis:
     """Per-presentation scan index: a materialized cell grid, its column codes
     per run height, and the coded window-key sets asked for so far."""
 
-    __slots__ = ("xcuts", "ycuts", "regions", "lcms", "k", "keys", "grid", "bounds", "codes")
+    __slots__ = ("xcuts", "ycuts", "regions", "steps", "k", "keys", "grid", "bounds", "codes")
 
     def __init__(self, g: GridPresentation):
         # the plane's parts, not the plane, so an index never keeps its plane alive
         self.xcuts, self.ycuts, self.regions = g.xcuts, g.ycuts, g.regions
-        self.lcms = block_lcms(g)
+        self.steps = _band_steps(g)
         self.k = len(g.alphabet)
         self.keys: dict[tuple[int, int], frozenset] = {}
         self.grid: list[list[int]] = []
@@ -136,13 +151,13 @@ class _Analysis:
     def corner_box(self, w: int, h: int) -> tuple[range, range]:
         """Corner ranges whose w x h windows realize every window content.
 
-        A window lying inside an unbounded band repeats under one block-lcm
-        step, so corners one lcm deep into each extreme band plus all the
-        straddling corners cover every content exactly; with no cuts on an
-        axis one lcm's worth of corners suffices.
+        A window lying inside an extreme band repeats under that band's step
+        (`_band_steps`) along its axis, so corners one step deep into each
+        extreme band plus all the straddling corners cover every content
+        exactly; with no cuts on an axis one step's worth of corners suffices.
+        The two axes shift independently, so the product box does too.
         """
-        ux, vy = self.lcms
-        return _corners(self.xcuts, w, ux), _corners(self.ycuts, h, vy)
+        return _corners(self.xcuts, w, *self.steps[:2]), _corners(self.ycuts, h, *self.steps[2:])
 
     def ensure(self, x0: int, x1: int, y0: int, y1: int) -> None:
         """Grow the materialized grid to cover [x0, x1] x [y0, y1].
@@ -269,9 +284,11 @@ def _occurrence_scan(g: GridPresentation, w: int, h: int, match) -> tuple[list[V
     """Corners within the canonical scan box of the w x h windows whose coded
     key is in match, plus the set of band-repeat directions witnessed by
     occurrences lying inside an unbounded band (those generate infinite
-    occurrence families)."""
+    occurrence families).  A direction is its band's own step, the least
+    repeat the box guarantees: the box may hold one copy of such an
+    occurrence, and its copy one step further out is an occurrence too."""
     a = _ana(g)
-    ux, vy = a.lcms
+    left, right, bottom, top = a.steps
     xs, ys = a.corner_box(w, h)
     n = len(ys)
     hits = compress(count(), map(match.__contains__, a.windows(w, h, xs, ys)))
@@ -279,13 +296,13 @@ def _occurrence_scan(g: GridPresentation, w: int, h: int, match) -> tuple[list[V
     dirs: set[Vec2] = set()
     for cx, cy in positions:
         if not g.xcuts or cx + w - 1 < g.xcuts[0]:
-            dirs.add(Vec2(-ux, 0))
+            dirs.add(Vec2(-left, 0))
         if not g.xcuts or cx >= g.xcuts[-1]:
-            dirs.add(Vec2(ux, 0))
+            dirs.add(Vec2(right, 0))
         if not g.ycuts or cy + h - 1 < g.ycuts[0]:
-            dirs.add(Vec2(0, -vy))
+            dirs.add(Vec2(0, -bottom))
         if not g.ycuts or cy >= g.ycuts[-1]:
-            dirs.add(Vec2(0, vy))
+            dirs.add(Vec2(0, top))
     return positions, dirs
 
 
@@ -365,12 +382,13 @@ def transpose(g: GridPresentation) -> GridPresentation:
     return GridPresentation(g.alphabet, g.ycuts, g.xcuts, regions)
 
 
-def _agree(a1: _Analysis, a2: _Analysis, xcuts, ycuts, ux: int, vy: int, v: Vec2) -> bool:
+def _agree(a1: _Analysis, a2: _Analysis, xcuts, ycuts, steps, v: Vec2) -> bool:
     """Whether a1's plane at p equals a2's plane at p - v for every p in the
-    comparison box of planes cut at xcuts and ycuts that repeat with (ux, vy)
-    outside them: the cells of the corner range at w = 1 on each axis.
-    Compared column slice by column slice on the materialized grids."""
-    xs, ys = _corners(xcuts, 1, ux), _corners(ycuts, 1, vy)
+    comparison box of planes cut at xcuts and ycuts that repeat outside them
+    with steps (left, right, bottom, top): the cells of the corner range at
+    w = 1 on each axis.  Compared column slice by column slice on the
+    materialized grids."""
+    xs, ys = _corners(xcuts, 1, *steps[:2]), _corners(ycuts, 1, *steps[2:])
     a1.ensure(xs[0], xs[-1], ys[0], ys[-1])
     a2.ensure(xs[0] - v.x, xs[-1] - v.x, ys[0] - v.y, ys[-1] - v.y)
     (b1x, _, b1y, _), (b2x, _, b2y, _) = a1.bounds, a2.bounds
@@ -382,23 +400,24 @@ def _agree(a1: _Analysis, a2: _Analysis, xcuts, ycuts, ux: int, vy: int, v: Vec2
 def equal(g1: GridPresentation, g2: GridPresentation) -> bool:
     """Exact configuration equality via one shared scan box.
 
-    Outside the union of both cut sets each plane repeats with the joint block
-    lcm on each axis, so agreement on the box (cut span plus one joint lcm of
-    margin per side) propagates to the whole plane.
+    Beyond the union of both cut sets each plane lies in its own extreme band
+    on that side, so both repeat with the lcm of their two steps there, and
+    agreement on the box (cut span plus that joint step of margin per side)
+    propagates to the whole plane.
     """
     if g1.alphabet != g2.alphabet:
         raise ValueError("alphabet mismatch")
-    l1, l2 = block_lcms(g1), block_lcms(g2)
-    ux, vy = lcm(l1.x, l2.x), lcm(l1.y, l2.y)
-    return _agree(_ana(g1), _ana(g2), g1.xcuts + g2.xcuts, g1.ycuts + g2.ycuts, ux, vy, Vec2(0, 0))
+    a1, a2 = _ana(g1), _ana(g2)
+    steps = tuple(map(lcm, a1.steps, a2.steps))
+    return _agree(a1, a2, g1.xcuts + g2.xcuts, g1.ycuts + g2.ycuts, steps, Vec2(0, 0))
 
 
 def _is_period(g: GridPresentation, v: Vec2) -> bool:
     """equal(g, shift(g, v)), read off g's own grid: the shifted plane has
-    the same block lcms and its cuts moved by v."""
+    the same band steps and its cuts moved by v."""
     a = _ana(g)
     xcuts, ycuts = g.xcuts + tuple(c + v.x for c in g.xcuts), g.ycuts + tuple(c + v.y for c in g.ycuts)
-    return _agree(a, a, xcuts, ycuts, *a.lcms, v)
+    return _agree(a, a, xcuts, ycuts, a.steps, v)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,24 @@ import pytest
 
 from oracle import brute
 from conftest import corpus_planes
-from tilelab.cb import RankReport, derivative, isolated_classes, isolating_pattern, ranks
+from tilelab.cb import (
+    RankReport,
+    _search_bounds,
+    derivative,
+    isolated_classes,
+    isolating_pattern,
+    ranks,
+)
+from tilelab.core import Alphabet, TileSet, Vec2
 from tilelab.order import TilingFamily
-from tilelab.presentation import Finite, occurrences
+from tilelab.presentation import (
+    Block,
+    Finite,
+    GridPresentation,
+    _occurrence_scan,
+    occurrences,
+    period_lattice,
+)
 
 PLANES = corpus_planes()
 
@@ -135,3 +150,33 @@ def test_derivatives_reuse_parent_comparisons(family6, monkeypatch):
     hasse(derivative(f))
     ranks(f)
     assert not compared & set(calls)
+
+
+def test_one_copy_band_occurrence_needs_its_band_step_in_the_lattice():
+    """x's only private windows within its search bound lie in its left
+    band, where they recur with that band's step 2 (the global lcm is 6).
+    The scan box holds one copy of the least of them, so only the
+    direction (-2, 0), which is no period of x, rejects it: x is not
+    isolated until y is gone."""
+    al = Alphabet(("a", "b", "c"))
+    free = TileSet.dominoes(al, [(s, t) for s in al.tokens for t in al.tokens], [])
+    a, b, c = range(3)
+    ab, right, cs = Block(2, 1, ((a,), (b,))), Block(3, 1, ((c,), (c,), (a,))), Block.filled(1, 1, c)
+    # x: ...abab | cca cca...; y: ccc... then abab over [-12, 0), then x's right band
+    x = GridPresentation(al, (0,), (), ((ab,), (right,)))
+    y = GridPresentation(al, (-12, 0), (), ((cs,), (ab,), (right,)))
+    f = TilingFamily(free, [("x", x), ("y", y)], 2)
+    assert _search_bounds(f, x) == (12, 2)
+    key = (b, a) * 6  # 12 x 1 from an odd column; at height 1 a coded key is the row itself
+    positions, dirs = _occurrence_scan(x, 12, 1, {key})
+    assert positions == [Vec2(-13, 0)]
+    assert dirs == {Vec2(-2, 0), Vec2(0, -1), Vec2(0, 1)}
+    assert not period_lattice(x).contains((2, 0))
+    assert isolating_pattern(f, "x") is None
+    fns = {
+        "x": lambda px, py: (a, b)[px % 2] if px < 0 else (c, c, a)[px % 3],
+        "y": lambda px, py: c if px < -12 else (a, b)[px % 2] if px < 0 else (c, c, a)[px % 3],
+    }
+    table, residue = brute.brute_ranks(fns, {"x": (12, 2), "y": (24, 2)}, 40, 48)
+    assert table == {"y": 1, "x": 2} == ranks(f).ranks
+    assert residue == set()

@@ -14,10 +14,13 @@ from tilelab.presentation import (
     Finite,
     GridPresentation,
     Infinite,
+    PeriodLattice,
     TypeA,
     TypeB,
     Zero,
     _ANALYSES,
+    _ana,
+    _band_steps,
     _dims_ascending,
     block_lcms,
     cell_at,
@@ -297,9 +300,9 @@ REACH, NEAR, FAR = 16, 14, 22
 PLANE_SEEDS = range(24)
 
 
-def oracle_occurrences(fn, cells):
-    near = brute.occurrence_corners(fn, cells, NEAR)
-    far = brute.occurrence_corners(fn, cells, FAR)
+def oracle_occurrences(fn, cells, near=NEAR, far=FAR):
+    near = brute.occurrence_corners(fn, cells, near)
+    far = brute.occurrence_corners(fn, cells, far)
     if len(far) > len(near):
         return Infinite()
     return Finite(len(far)) if far else Zero()
@@ -451,3 +454,133 @@ def test_an_index_lives_as_long_as_its_plane(stripes):
     assert list(_ANALYSES) == [id(g)]
     del g
     assert not _ANALYSES
+
+
+# ------------------------------------- per-band scan steps against the oracle
+
+def banded_plane(rng):
+    """(presentation, plane fn): 2-3 states, 0-2 cuts in [-3, 3] per axis,
+    block periods 1-4, redrawn until some extreme band's step is smaller
+    than the global lcm on its axis, so a box one global lcm deep would be
+    larger than the per-band box.  The fn is read off the raw draws."""
+    while True:
+        k = rng.randint(2, 3)
+        xcuts = sorted(rng.sample(range(-3, 4), rng.randint(0, 2)))
+        ycuts = sorted(rng.sample(range(-3, 4), rng.randint(0, 2)))
+        raw = [[tuple(tuple(rng.randrange(k) for _ in range(v)) for _ in range(u))
+                for u, v in ((rng.randint(1, 4), rng.randint(1, 4)) for _ in range(len(ycuts) + 1))]
+               for _ in range(len(xcuts) + 1)]
+        regions = tuple(tuple(Block(len(d), len(d[0]), d) for d in col) for col in raw)
+        al = Alphabet(tuple(f"s{i}" for i in range(k)))
+        g = GridPresentation(al, tuple(xcuts), tuple(ycuts), regions)
+        left, right, bottom, top = _band_steps(g)
+        ux, vy = block_lcms(g)
+        if min(left, right) < ux or min(bottom, top) < vy:
+            break
+
+    def fn(x, y):
+        data = raw[sum(c <= x for c in xcuts)][sum(c <= y for c in ycuts)]
+        return data[x % len(data)][y % len(data[0])]
+
+    return g, fn
+
+
+# Steps are at most 12 and windows at most 4 wide, so every window content
+# has a copy with its corner in [-19, 15], within BAND_NEAR; an infinite
+# occurrence family has one copy within BAND_NEAR and another within
+# BAND_FAR, 13 further out.  Periods are tested for shifts up to 12: the cut
+# sets of g and its shift lie in [-15, 15], so agreement on [-28, 27] (the
+# overlap of a box of reach 40 with its shift) is agreement everywhere.
+BAND_NEAR, BAND_FAR, BAND_PERIOD_REACH = 20, 33, 40
+BAND_SEEDS = range(20)
+
+
+@pytest.mark.parametrize("seed", BAND_SEEDS)
+def test_band_steps_window_keys_and_occurrences_match_oracle(seed):
+    rng = random.Random(f"band/{seed}")
+    g, fn = banded_plane(rng)
+    grid = brute.box_grid(fn, BAND_NEAR)
+    for w in range(1, 5):
+        for h in range(1, 5):
+            assert rect_window_keys(g, w, h) == brute.window_keys(grid, w, h), (w, h)
+    k = len(g.alphabet)
+    for _ in range(4):
+        w, h = rng.randint(1, 3), rng.randint(1, 3)
+        cx, cy = rng.randint(-7, 4), rng.randint(-7, 4)
+        cells = {(dx, dy): fn(cx + dx, cy + dy) for dx in range(w) for dy in range(h)}
+        if rng.random() < 0.25:
+            cells[rng.choice(sorted(cells))] = rng.randrange(k)
+        got = occurrences(g, Pattern(g.alphabet, cells))
+        assert got == oracle_occurrences(fn, cells, BAND_NEAR, BAND_FAR), (seed, cells)
+
+
+def doubled(g):
+    """g with its bottom-left block stored at twice its width: the same
+    plane, whose left step may differ from g's."""
+    b = g.regions[0][0]
+    regions = ((Block(2 * b.u, b.v, b.data * 2), *g.regions[0][1:]), *g.regions[1:])
+    return GridPresentation(g.alphabet, g.xcuts, g.ycuts, regions)
+
+
+@pytest.mark.parametrize("seed", BAND_SEEDS)
+def test_band_steps_periods_equality_and_type_match_oracle(seed):
+    g, fn = banded_plane(random.Random(f"band/{seed}"))
+    twin = doubled(g)
+    reach = BAND_PERIOD_REACH
+    grid = brute.box_grid(fn, reach)
+
+    def cells(x, y):
+        return grid[x + reach][y + reach]
+
+    ux, vy = block_lcms(g)
+    lat = period_lattice(g)
+    assert lat.rank == brute.lattice_rank(cells, reach, max(ux, vy))
+    for dx in range(-ux, ux + 1):
+        for dy in range(-vy, vy + 1):
+            want = brute.is_period(cells, (dx, dy), reach)
+            assert lat.contains((dx, dy)) == want, (dx, dy)
+            assert equal(g, shift(g, (dx, dy))) == want, (dx, dy)
+            assert equal(g, shift(twin, (dx, dy))) == want, (dx, dy)
+    t = type_of(g)
+    assert isinstance(t, TypeB) == (lat.rank == 0)
+    if isinstance(t, TypeB):
+        witness = {(c.x, c.y): s for c, s in t.witness.cells.items()}
+        assert oracle_occurrences(cells, witness, BAND_NEAR, BAND_FAR) == Finite(1)
+
+
+def test_equal_reads_both_planes_left_steps():
+    """Left bands of steps 2 (b a b a ...) and 3 (b a b b a b ...) agree on
+    the three columns left of the cut and first differ at x = -4, one column
+    past a box sized by the smaller step."""
+    al = Alphabet(("a", "b", "c"))
+    a, b, c = range(3)
+    right = Block.filled(1, 1, c)
+    g2 = GridPresentation(al, (0,), (), ((Block(2, 1, ((a,), (b,))),), (right,)))
+    g3 = GridPresentation(al, (0,), (), ((Block(3, 1, ((b,), (a,), (b,))),), (right,)))
+    assert [cell_at(g2, (x, 0)) for x in range(-4, 0)] == [a, b, a, b]
+    assert [cell_at(g3, (x, 0)) for x in range(-4, 0)] == [b, b, a, b]
+    assert not equal(g2, g3) and not equal(g3, g2)
+    assert equal(g2, doubled(g2)) and equal(g3, doubled(g3))
+
+
+def test_periods_to_eleven_plane_scans_a_per_band_box():
+    """Four coprime-period regions: the x-bands' steps are 77 and 45, the
+    y-bands' 77 and 72, against global lcms of 3465 and 5544.  The pinned
+    answer was computed with a box one global lcm deep on each side."""
+    periods = ((7, 11), (11, 9), (9, 7), (5, 8))  # regions (0,0) (0,1) (1,0) (1,1)
+    rng = random.Random("periods-to-11")
+    al = Alphabet(("a", "b", "c"))
+    b00, b01, b10, b11 = (Block(u, v, tuple(tuple(rng.randrange(3) for _ in range(v)) for _ in range(u)))
+                          for u, v in periods)
+    g = GridPresentation(al, (0,), (0,), ((b00, b01), (b10, b11)))
+    assert block_lcms(g) == Vec2(3465, 5544)
+    assert _band_steps(g) == (77, 45, 77, 72)
+    for w, h in ((1, 1), (2, 3), (5, 4)):
+        xs, ys = _ana(g).corner_box(w, h)
+        assert (len(xs), len(ys)) == (w + 123, h + 150)
+    free = TileSet.dominoes(al, [(x, y) for x in al.tokens for y in al.tokens], [])
+    assert is_valid(g, free)
+    assert period_lattice(g) == PeriodLattice(0, ())
+    t = type_of(g)
+    assert isinstance(t, TypeB)
+    assert t.witness == Pattern.from_rows(al, ["a c", "c c", "b b"])
