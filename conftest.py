@@ -1,3 +1,4 @@
+import gc
 import sys
 from pathlib import Path
 
@@ -8,7 +9,7 @@ sys.path.insert(0, str(ROOT))  # oracle/ lives next to this file
 
 from tilelab.cli import parse_presentation, parse_tileset
 from tilelab.order import TilingFamily
-from tilelab.presentation import Block, GridPresentation
+from tilelab.presentation import Block, GridPresentation, _Analysis
 
 CORPUS = ROOT / "corpus"
 FAMILY_DIR = CORPUS / "family"
@@ -66,6 +67,11 @@ def corpus_planes(imax=6):
         planes[f"a{i}"] = (_corner(i), 0, i)
         planes[f"b{i}"] = (_stack(i), 0, i)
     return planes
+
+
+def live_indexes():
+    """How many plane scan indexes are alive in the process."""
+    return sum(isinstance(o, _Analysis) for o in gc.get_objects())
 
 
 def _cell(s):

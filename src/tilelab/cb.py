@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .core import Pattern
 from .presentation import (
     GridPresentation,
-    _ana,
     _dims_ascending,
     _key_pattern,
     _occurrence_scan,
@@ -38,17 +37,17 @@ def isolating_pattern(f: TilingFamily, name: str) -> Pattern | None:
     within the search bounds."""
     x = f.presentation(name)
     mine = next(cls for cls in equivalence_classes(f) if name in cls)
-    others = [_ana(f.presentation(o)) for o in f.names() if o not in mine]
+    others = [f.presentation(o)._index for o in f.names() if o not in mine]
     bw, bh = _search_bounds(f, x)
     # a single class covering x at the full bound covers every sub-window too
-    full = _ana(x).rect_keys(bw, bh)
+    full = x._index.rect_keys(bw, bh)
     for y in others:
         if full <= y.rect_keys(bw, bh):
             return None
     lat = None
     # coded keys sort like the windows' x-major state tuples
     for w, h in _dims_ascending(bw, bh):
-        cands = set(_ana(x).rect_keys(w, h))
+        cands = set(x._index.rect_keys(w, h))
         for y in others:
             cands -= y.rect_keys(w, h)
             if not cands:

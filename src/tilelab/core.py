@@ -278,19 +278,19 @@ class TileSet:
 _COMPLEMENT_LIMIT = 1 << 16  # largest state cube a complement may enumerate
 
 
-def _complement(alphabet: Alphabet, cells, keys, limit: int = _COMPLEMENT_LIMIT) -> list[Pattern]:
-    """Patterns on the sorted cells whose state tuple is not in keys. Refuses huge cubes."""
-    total = len(alphabet) ** len(cells)
-    if total > limit:
-        raise ValueError(f"complement of size {total} over shape of {len(cells)} cells refused")
-    combos = product(range(len(alphabet)), repeat=len(cells))
-    return [Pattern._trusted(alphabet, dict(zip(cells, c))) for c in combos if c not in keys]
-
-
-def to_forbidden(ts: TileSet, limit: int = _COMPLEMENT_LIMIT) -> dict[frozenset[Vec2], frozenset[Pattern]]:
-    """Complement each allowed set inside Q^shape. Guarded: refuses cubes over limit."""
-    shapes = zip(ts.shapes, ts.shape_cells, ts.allowed_keys)
-    return {shape: frozenset(_complement(ts.alphabet, c, k, limit)) for shape, c, k in shapes}
+def to_forbidden(ts: TileSet) -> dict[frozenset[Vec2], frozenset[Pattern]]:
+    """Complement each allowed set inside Q^shape. Refuses, before enumerating
+    anything, a shape whose state cube exceeds _COMPLEMENT_LIMIT."""
+    al, k = ts.alphabet, len(ts.alphabet)
+    for cells in ts.shape_cells:
+        total = k ** len(cells)
+        if total > _COMPLEMENT_LIMIT:
+            raise ValueError(f"complement of size {total} over shape of {len(cells)} cells refused")
+    return {
+        shape: frozenset(Pattern._trusted(al, dict(zip(cells, c)))
+                         for c in product(range(k), repeat=len(cells)) if c not in keys)
+        for shape, cells, keys in zip(ts.shapes, ts.shape_cells, ts.allowed_keys)
+    }
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .core import TileSet
-from .presentation import GridPresentation, _ana, _settled_size, is_valid
+from .presentation import GridPresentation, _settled_size, is_valid
 
 
 def preceq(x: GridPresentation, y: GridPresentation, n: int) -> bool:
@@ -22,7 +22,7 @@ def preceq(x: GridPresentation, y: GridPresentation, n: int) -> bool:
         raise ValueError("alphabet mismatch")
     if n < 1:
         raise ValueError("window size must be positive")
-    return _ana(x).rect_keys(n, n) <= _ana(y).rect_keys(n, n)
+    return x._index.rect_keys(n, n) <= y._index.rect_keys(n, n)
 
 
 def saturation_window(g: GridPresentation) -> int:

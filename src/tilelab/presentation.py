@@ -8,23 +8,24 @@ spans plus, on each side, one step of that side's extreme band (the lcm of
 its own block periods); the scan-range arguments are spelled out at the
 functions that rely on them.
 
-Every scan reads one index per presentation object (`_Analysis`): a cell grid
-filled block by block, and per run height h its column codes, the h cells
-above a grid cell read as one base-k number (k the alphabet size, the lowest
-cell the most significant digit).  A code is an exact integer, not a hash,
-and distinct runs of one height get distinct codes, so the tuple of a w x h
-window's w column codes names its content exactly.  Codes of equal length
-order like their digit strings, so coded keys sort exactly as the x-major
-state tuples they stand for: a search that takes the least candidate picks
-the same window either way, and only the window returned is decoded.
+Every scan reads its plane's index (`_Analysis`, the plane's `_index`): a
+cell grid filled block by block, and per run height h its column codes, the
+h cells above a grid cell read as one base-k number (k the alphabet size,
+the lowest cell the most significant digit).  A code is an exact integer,
+not a hash, and distinct runs of one height get distinct codes, so the tuple
+of a w x h window's w column codes names its content exactly.  Codes of
+equal length order like their digit strings, so coded keys sort exactly as
+the x-major state tuples they stand for: a search that takes the least
+candidate picks the same window either way, and only the window returned is
+decoded.
 """
 
 from __future__ import annotations
 
-import weakref
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress, count
 from math import isqrt, lcm
 
@@ -78,6 +79,15 @@ class GridPresentation:
                     for s in data_col:
                         if not 0 <= s < len(self.alphabet):
                             raise ValueError("block state out of alphabet range")
+
+    @cached_property
+    def _index(self) -> _Analysis:
+        """The plane's scan index, built on first use; not a field, so ==, hash and repr ignore it."""
+        return _Analysis(self)
+
+    def __reduce__(self):
+        # copies and pickles rebuild from the fields, never carrying an index
+        return GridPresentation, (self.alphabet, self.xcuts, self.ycuts, self.regions)
 
 
 def uniform(alphabet: Alphabet, state: int) -> GridPresentation:
@@ -139,7 +149,7 @@ class _Analysis:
     __slots__ = ("xcuts", "ycuts", "regions", "steps", "k", "keys", "grid", "bounds", "codes")
 
     def __init__(self, g: GridPresentation):
-        # the plane's parts, not the plane, so an index never keeps its plane alive
+        # the plane's parts, not the plane: no reference cycle, so the index dies with its plane
         self.xcuts, self.ycuts, self.regions = g.xcuts, g.ycuts, g.regions
         self.steps = _band_steps(g)
         self.k = len(g.alphabet)
@@ -221,18 +231,6 @@ class _Analysis:
         return got
 
 
-# keyed by id(g); a finalizer drops an entry when its plane dies, before the id can be reused
-_ANALYSES: dict[int, _Analysis] = {}
-
-
-def _ana(g: GridPresentation) -> _Analysis:
-    a = _ANALYSES.get(id(g))
-    if a is None:
-        a = _ANALYSES[id(g)] = _Analysis(g)
-        weakref.finalize(g, _ANALYSES.pop, id(g), None)
-    return a
-
-
 def _decode(key: tuple[int, ...], h: int, k: int) -> tuple[int, ...]:
     """x-major state tuple of a coded window key of height h over k states."""
     return tuple(code // k ** (h - 1 - dy) % k for code in key for dy in range(h))
@@ -256,13 +254,13 @@ def rect_window_keys(g: GridPresentation, w: int, h: int) -> frozenset:
     if w < 1 or h < 1:
         raise ValueError("window size must be positive")
     k = len(g.alphabet)
-    return frozenset(_decode(key, h, k) for key in _ana(g).rect_keys(w, h))
+    return frozenset(_decode(key, h, k) for key in g._index.rect_keys(w, h))
 
 
 def pattern_set(g: GridPresentation, n: int) -> set[Pattern]:
     if n < 1:
         raise ValueError("window size must be positive")
-    return {_key_pattern(g.alphabet, key, n) for key in _ana(g).rect_keys(n, n)}
+    return {_key_pattern(g.alphabet, key, n) for key in g._index.rect_keys(n, n)}
 
 
 @dataclass(frozen=True)
@@ -287,7 +285,7 @@ def _occurrence_scan(g: GridPresentation, w: int, h: int, match) -> tuple[list[V
     occurrence families).  A direction is its band's own step, the least
     repeat the box guarantees: the box may hold one copy of such an
     occurrence, and its copy one step further out is an occurrence too."""
-    a = _ana(g)
+    a = g._index
     left, right, bottom, top = a.steps
     xs, ys = a.corner_box(w, h)
     n = len(ys)
@@ -321,7 +319,7 @@ def occurrences(g: GridPresentation, p: Pattern):
     w, h = p.extents()
     cells = [(c.x * h + c.y, s) for c, s in p.cells.items()]
     k = len(g.alphabet)
-    flats = ((key, _decode(key, h, k)) for key in _ana(g).rect_keys(w, h))
+    flats = ((key, _decode(key, h, k)) for key in g._index.rect_keys(w, h))
     match = {key for key, flat in flats if all(flat[i] == s for i, s in cells)}
     if not match:
         return Zero()
@@ -342,7 +340,7 @@ def is_valid(g: GridPresentation, ts: TileSet) -> bool:
         w = max(c.x for c in cells) + 1
         h = max(c.y for c in cells) + 1
         idx = [c.x * h + c.y for c in cells]
-        for key in _ana(g).rect_keys(w, h):
+        for key in g._index.rect_keys(w, h):
             flat = _decode(key, h, k)
             if tuple(flat[i] for i in idx) not in allowed:
                 return False
@@ -407,7 +405,7 @@ def equal(g1: GridPresentation, g2: GridPresentation) -> bool:
     """
     if g1.alphabet != g2.alphabet:
         raise ValueError("alphabet mismatch")
-    a1, a2 = _ana(g1), _ana(g2)
+    a1, a2 = g1._index, g2._index
     steps = tuple(map(lcm, a1.steps, a2.steps))
     return _agree(a1, a2, g1.xcuts + g2.xcuts, g1.ycuts + g2.ycuts, steps, Vec2(0, 0))
 
@@ -415,7 +413,7 @@ def equal(g1: GridPresentation, g2: GridPresentation) -> bool:
 def _is_period(g: GridPresentation, v: Vec2) -> bool:
     """equal(g, shift(g, v)), read off g's own grid: the shifted plane has
     the same band steps and its cuts moved by v."""
-    a = _ana(g)
+    a = g._index
     xcuts, ycuts = g.xcuts + tuple(c + v.x for c in g.xcuts), g.ycuts + tuple(c + v.y for c in g.ycuts)
     return _agree(a, a, xcuts, ycuts, a.steps, v)
 
@@ -515,7 +513,7 @@ def type_of(g: GridPresentation):
     xspan, yspan = cut_spans(g)
     x1, xr = g.xcuts[0], g.xcuts[-1]
     y1, ys_ = g.ycuts[0], g.ycuts[-1]
-    a = _ana(g)
+    a = g._index
     for w, h in _dims_ascending(3 * xspan + 4 * ux - 2, 3 * yspan + 4 * vy - 2):
         cxs = range(x1 - w + 1, xr)
         cys = range(y1 - h + 1, ys_)

@@ -1,18 +1,18 @@
 """The hooks the benchmark reaches into tilelab by name.
 
-bench/spans.py wraps the functions listed in its TARGETS, and
-bench/worker.py empties tilelab.presentation._ANALYSES before every call.
-A rename in tilelab would break the traced run without failing any other
-test, so both hooks are checked here; bench/spans.py is read, not changed.
+bench/spans.py wraps the functions listed in its TARGETS.  A rename in
+tilelab would break the traced run without failing any other test, so the
+targets are checked here; bench/spans.py is read, not changed.
+
+bench/worker.py's lookup of tilelab.presentation._ANALYSES finds nothing:
+a plane's scan index is an attribute of the plane and dies with it, so calls
+stay cold without a reset, and tests/test_imports.py keeps tilelab free of
+module-level caches that would make them warm.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
-
-import tilelab.presentation
-from tilelab.core import Alphabet
-from tilelab.presentation import rect_window_keys, uniform
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -38,13 +38,3 @@ def test_every_tilelab_span_target_resolves():
         checked += 1
     assert checked
 
-
-def test_scans_fill_the_index_table_and_clear_empties_it():
-    analyses = tilelab.presentation._ANALYSES
-    analyses.clear()
-    # an index lives as long as its plane, so the plane is kept in a local
-    g = uniform(Alphabet(("a", "b")), 1)
-    rect_window_keys(g, 2, 2)
-    assert len(analyses) == 1
-    analyses.clear()
-    assert not analyses

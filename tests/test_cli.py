@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import CORPUS, FAMILY_DIR, STRIPES_H, STRIPES_V
+from conftest import CORPUS, FAMILY_DIR, STRIPES_H, STRIPES_V, live_indexes
 from tilelab.cli import ParseError, emit_presentation, emit_tileset, main, parse_presentation, parse_tileset
 from tilelab.core import Vec2
 
@@ -332,6 +333,23 @@ def test_cb_json(capsys):
     assert out["ranks"]["mono_black"] == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", STRIPES, str(FAMILY_DIR / "a2.pres")],
+    ["order", STRIPES, FAMILY, "--window", "6"],
+    ["cb", STRIPES, FAMILY, "--window", "6"],
+], ids=lambda argv: argv[0])
+def test_a_call_leaves_no_scan_index_alive(capsys, argv):
+    """A call's planes die when it returns, and their indexes with them,
+    by refcount alone: the collector is off for the call."""
+    gc.disable()
+    try:
+        before = live_indexes()
+        assert main(argv) == 0
+        assert live_indexes() == before
+    finally:
+        gc.enable()
+
+
 # -------------------------------------------------------------- exit codes
 
 def test_parse_error_exit_code(capsys, tmp_path):
@@ -340,6 +358,18 @@ def test_parse_error_exit_code(capsys, tmp_path):
     rc = main(["patterns", str(f), "--size", "1"])
     assert rc == 2
     assert "bad.tiles:2:" in capsys.readouterr().err
+
+
+def test_forbidden_mode_refuses_an_oversized_complement(capsys, tmp_path):
+    # 17 cells over 2 states: 2^17 fillings, over the 2^16 complement limit
+    f = tmp_path / "big.tiles"
+    f.write_text("alphabet a b\nmode forbidden\npattern\n"
+                 + "".join(f"  cell {x} 0 a\n" for x in range(17)) + "end\n")
+    rc = main(["patterns", str(f), "--size", "1"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {f}:1: forbidden-mode complement too large\n"
 
 
 def test_missing_file_exit_code(capsys):

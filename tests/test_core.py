@@ -157,8 +157,10 @@ def test_to_forbidden_complements(rg):
     assert sorted(len(pats) for pats in forb.values()) == [1, 3]
     hshape = frozenset({Vec2(0, 0), Vec2(1, 0)})
     assert len(forb[hshape]) == 3
+    # 17 cells over 2 states: 2^17 fillings, refused before any is enumerated
+    big = TileSet.from_allowed(rg, [Pattern(rg, {Vec2(x, 0): 0 for x in range(17)})])
     with pytest.raises(ValueError):
-        to_forbidden(ts, limit=2)
+        to_forbidden(big)
 
 
 def test_torus_tiling_keys_and_periods():

@@ -1,6 +1,7 @@
 """Every name a library module imports is used in it, every private
-module-level helper is used somewhere in the package, and only `solver`
-reaches outside the standard library.
+module-level helper is used somewhere in the package, only `solver`
+reaches outside the standard library, and no module keeps process-wide
+mutable state.
 
 `__init__.py` is exempt from the first check: its imports are the package's
 public surface.  Names are collected with the standard `ast` module,
@@ -137,3 +138,44 @@ def test_detects_a_dead_helper():
         "b.py": ast.parse("from a import _read\nx = _read()\n"),
     }
     assert _dead_helpers(trees) == ["a.py:1: _LIMIT", "a.py:3: _walk"]
+
+
+# module-level containers that are fixed after import: the public surface
+# and the one table of pair cells
+CONSTANT_CONTAINERS = {("__init__.py", "__all__"), ("core.py", "_PAIR_CELLS")}
+
+
+def _module_containers(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) for each module-level name bound to a dict, list or set:
+    a display, a comprehension, or a dict()/list()/set() call.  Function and
+    class bodies are not module level."""
+    out = []
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            v = node.value
+            if isinstance(v, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)) or (
+                isinstance(v, ast.Call) and isinstance(v.func, ast.Name) and v.func.id in ("dict", "list", "set")
+            ):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                out += [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
+        todo += ast.iter_child_nodes(node)
+    return sorted(out, key=lambda t: t[1])
+
+
+def test_no_process_wide_mutable_state():
+    """A module-level cache would let one call's scans answer the next, so
+    a benchmark call would be warm without any other test noticing."""
+    found = [f"{p.name}:{line}: {name}" for p in sorted(SRC.glob("*.py"))
+             for name, line in _module_containers(ast.parse(p.read_text(), filename=str(p)))
+             if (p.name, name) not in CONSTANT_CONTAINERS]
+    assert not found, "module-level mutable containers:\n" + "\n".join(found)
+
+
+def test_detects_module_level_containers():
+    tree = ast.parse("A = {}\nB: list[int] = []\nC = (1, 2)\nD = {k: 1 for k in 'ab'}\nE = set()\n"
+                     "F = frozenset()\nif A:\n    G = [1]\ndef f():\n    H = {}\nclass K:\n    I = []\n")
+    assert _module_containers(tree) == [("A", 1), ("B", 2), ("D", 4), ("E", 5), ("G", 8)]

@@ -1,11 +1,12 @@
 import copy
+import gc
 import pickle
 import random
 
 import pytest
 
 from oracle import brute
-from conftest import CORPUS, corpus_planes
+from conftest import CORPUS, corpus_planes, live_indexes
 from tilelab.cli import parse_presentation
 from tilelab.core import Alphabet, Pattern, TileSet, Vec2
 from tilelab.order import preceq
@@ -18,8 +19,6 @@ from tilelab.presentation import (
     TypeA,
     TypeB,
     Zero,
-    _ANALYSES,
-    _ana,
     _band_steps,
     _dims_ascending,
     block_lcms,
@@ -440,20 +439,24 @@ def test_presentation_pickle_and_copy_round_trips(seed):
         assert twin == g and hash(twin) == hash(g)
     rect_window_keys(g, 2, 3)
     period_lattice(g)
-    assert id(g) in _ANALYSES
+    assert "_index" in vars(g)
     assert pickle.dumps(g) == before
+    for twin in (copy.copy(g), copy.deepcopy(g)):
+        assert twin == g and "_index" not in vars(twin)
 
 
 def test_an_index_lives_as_long_as_its_plane(stripes):
-    """Scanning many short-lived planes leaves one entry per live plane."""
-    _ANALYSES.clear()
+    """Scanning many short-lived planes leaves one index per live plane;
+    counted against the indexes already alive, such as fixture planes'."""
+    gc.collect()  # earlier tests' garbage cycles must not be freed mid-count
+    base = live_indexes()
     for _ in range(20):
         for f in sorted((CORPUS / "family").glob("a*.pres")):
             g = parse_presentation(f, stripes.alphabet)
             type_of(g)
-    assert list(_ANALYSES) == [id(g)]
+    assert live_indexes() == base + 1
     del g
-    assert not _ANALYSES
+    assert live_indexes() == base
 
 
 # ------------------------------------- per-band scan steps against the oracle
@@ -576,7 +579,7 @@ def test_periods_to_eleven_plane_scans_a_per_band_box():
     assert block_lcms(g) == Vec2(3465, 5544)
     assert _band_steps(g) == (77, 45, 77, 72)
     for w, h in ((1, 1), (2, 3), (5, 4)):
-        xs, ys = _ana(g).corner_box(w, h)
+        xs, ys = g._index.corner_box(w, h)
         assert (len(xs), len(ys)) == (w + 123, h + 150)
     free = TileSet.dominoes(al, [(x, y) for x in al.tokens for y in al.tokens], [])
     assert is_valid(g, free)
