@@ -24,9 +24,10 @@ from .order import TilingFamily, equivalence_classes
 
 
 def _search_bounds(f: TilingFamily, g: GridPresentation) -> tuple[int, int]:
-    """Candidate dimensions: the family window, enlarged per axis to the
-    member's own span plus two lcm periods (anything larger repeats bands
-    already seen, so it isolates nothing new)."""
+    """Candidate dimensions: the family window, raised per axis to the
+    member's settled size (its cut span plus two lcm periods).  That is no
+    saturation bound: a larger window can still isolate the member, so ranks
+    can move with `--window` (README, "Windows and stabilization")."""
     m = _settled_size(g)
     return max(f.window, m.x), max(f.window, m.y)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import networkx as nx
 
@@ -33,72 +34,93 @@ def refute(ts: TileSet, n: int) -> bool:
     return next(iter_admissible_squares(ts, n), None) is None
 
 
-def _reaching(pred: list[int], r: int) -> int:
-    """Bit mask of the vertices >= r that reach r through vertices >= r,
-    from pred[v], the bit mask of v's predecessors."""
-    seen, todo = 1 << r, [r]
-    while todo:
-        new = pred[todo.pop()] >> r << r & ~seen
-        seen |= new
-        while new:
-            low = new & -new
-            todo.append(low.bit_length() - 1)
-            new ^= low
+def _reaching(pred: list[int], r: int, alive: int, depth: int) -> int:
+    """Bit mask of the alive vertices that reach r in at most depth steps
+    through alive vertices, from pred[v], the bit mask of v's predecessors."""
+    seen = frontier = 1 << r
+    for _ in range(depth):
+        new = 0
+        while frontier:
+            low = frontier & -frontier
+            new |= pred[low.bit_length() - 1]
+            frontier ^= low
+        frontier = new & alive & ~seen
+        seen |= frontier
     return seen
 
 
-def _lyndon_blocks(g: TransferGraph, p: int):
-    """Blocks of the closed p-walks on wrap graph g whose index sequence is a
-    Lyndon word (column x: vertex x's first column), in lexicographic order.
-    Fredricksen-Kessler-Maiorana prenecklace search over bit masks, as a loop
-    with no depth limit: `period` is that of the longest Lyndon prefix, no
-    index falls below walk[t - period], and candidates go lowest first.  Inner
-    steps keep to the vertices that reach walk[0] through vertices >= walk[0],
-    as every vertex of a Lyndon walk does; the last step closes the walk."""
+def _vertical_rotation(g: TransferGraph) -> list[int]:
+    """sigma: vertex i of wrap graph g with every column rotated by one row, as a vertex permutation."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    return [index[tuple(c[1:] + c[:1] for c in v)] for v in g.vertices]
+
+
+def _orbit_least(walk: list[int], rots: list[list[int]]) -> bool:
+    """No permutation in rots fixes the walk or maps it to one with a horizontal rotation below it."""
+    for s in rots:
+        m = [s[v] for v in walk]
+        if m <= walk or min(m) <= walk[0] and min(m[dx:] + m[:dx] for dx in range(len(m))) < walk:
+            return False
+    return True
+
+
+def _lyndon_walks(g: TransferGraph, p: int, sigma: list[int]):
+    """The closed p-walks on wrap graph g that enumerate_torus keeps, as index
+    tuples in lexicographic order; sigma is g's vertical rotation.  Prenecklace
+    search (Fredricksen-Kessler-Maiorana) over bit masks, as a loop with no
+    depth limit: `period` is that of the longest Lyndon prefix, no index falls
+    below walk[t - period], candidates go lowest first, and `tied` holds the
+    powers s with s(walk[:t]) == walk[:t].  Steps keep to alive vertices (whose
+    orbit has no member below walk[0]) that reach walk[0] within p - 1 steps."""
     n = len(g.vertices)
     succ, pred = [0] * n, [0] * n
     for a, b in g.edges:
         succ[a] |= 1 << b
         pred[b] |= 1 << a
-    first = [v[0] for v in g.vertices]
-    walk = [0] * p
+    rots = list(accumulate([sigma] * (g.height - 1), lambda s, _: [sigma[v] for v in s]))  # sigma^1 .. sigma^(q-1)
+    if p == 1:
+        yield from ((r,) for r in range(n) if succ[r] >> r & 1 and _orbit_least([r], rots))
+        return
+    walk, below = [0] * p, 0  # below: the vertices whose orbit has a member below walk[0]
     for r in range(n):
-        walk[0] = r
-        if p == 1:
-            if succ[r] >> r & 1:
-                yield (first[r],)
-            continue
-        keep = _reaching(pred, r) if p > 2 else -1  # at p == 2 the closing edge implies it
+        walk[0], alive = r, 0 if below >> r & 1 else ~below  # else a translate starts lower than r
+        below |= 1 << r | sum({1 << s[r] for s in rots})
+        keep = _reaching(pred, r, alive, p - 1)  # walk[t] reaches r in p - t steps
         if keep >> r + 1 == 0:
-            continue  # a Lyndon word of length >= 2 has a letter above its first
-        stack = [(1, succ[r] & keep)]  # (period of walk[:t], untried candidates for walk[t]), t = len(stack)
+            continue  # r is not orbit-least, or no alive vertex above it returns to it
+        stack = [(1, succ[r] & keep, [s for s in rots if s[r] == r])]  # (period, untried walk[t], tied)
         while stack:
             t = len(stack)
-            period, cands = stack.pop()
+            period, cands, tied = stack.pop()
             lo = walk[t - period]
             if t == p - 1:
                 ends = cands & pred[r] >> lo + 1 << lo + 1
                 while ends:
                     low = ends & -ends
                     walk[t] = low.bit_length() - 1
-                    yield tuple([first[v] for v in walk])
+                    if _orbit_least(walk, rots):
+                        yield tuple(walk)
                     ends ^= low
                 continue
             cands = cands >> lo << lo
             if cands:
                 low = cands & -cands
                 walk[t] = v = low.bit_length() - 1
-                stack.append((period, cands ^ low))
-                stack.append((period if v == lo else t + 1, succ[v] & keep))
+                stack.append((period, cands ^ low, tied))
+                if not tied or all(s[v] >= v for s in tied):  # else s(walk) < walk for every completion
+                    stack.append((period if v == lo else t + 1, succ[v] & keep, [s for s in tied if s[v] == v]))
 
 
-def _least_of_vertical_rotations(block: tuple, q: int) -> bool:
-    """No vertical rotation by 1..q-1 fixes the block or has a smaller horizontal rotation."""
-    for dy in range(1, q):
-        r = tuple(col[dy:] + col[:dy] for col in block)
-        if r == block or any(r[dx:] + r[:dx] < block for dx in range(len(r)) if r[dx] <= block[0]):
-            return False
-    return True
+def _tori(ts: TileSet, sizes):
+    """Kept tilings of each size (p, q) in turn; block column x is vertex walk[x]'s first column."""
+    graphs: dict[int, tuple[TransferGraph, list[int]]] = {}
+    for p, q in sizes:
+        if q not in graphs:
+            g = build_transfer_graph(ts, q, wrap=True)
+            graphs[q] = g, _vertical_rotation(g)
+        g, sigma = graphs[q]
+        for walk in _lyndon_walks(g, p, sigma):
+            yield TorusTiling(p, q, tuple([g.vertices[v][0] for v in walk]))
 
 
 def enumerate_torus(ts: TileSet, maxp: int, maxq: int) -> list[TorusTiling]:
@@ -109,20 +131,17 @@ def enumerate_torus(ts: TileSet, maxp: int, maxq: int) -> list[TorusTiling]:
     A p x q torus block is exactly a closed p-walk on the height-q wrap
     transfer graph.  Vertices are in lexicographic order, so index order on
     walks is lexicographic order on blocks, and rotating the walk rotates the
-    block horizontally.  A Lyndon walk is thus a block of exact horizontal
-    period p, strictly least among its horizontal rotations; the vertical
-    rotations are checked per surviving walk.
+    block horizontally.  Rotating every column of a valid cylinder strip by one
+    row gives a valid strip: that is a graph automorphism sigma, stored once
+    per graph as a vertex permutation, and sigma^dy turns a block dy rows.  A
+    walk is kept when it is a Lyndon word and no sigma^dy, 0 < dy < q, fixes
+    it or has a rotation below it.  The search starts at orbit-least vertices
+    r (sigma^dy(r) >= r for all dy) and cuts a prefix with sigma^dy(prefix) <
+    prefix, as then sigma^dy(walk) < walk for every completion.
     """
     if maxp < 1 or maxq < 1:
         raise ValueError("maxp and maxq must be positive")
-    graphs = {q: build_transfer_graph(ts, q, wrap=True) for q in range(1, maxq + 1)}
-    out = []
-    for p in range(1, maxp + 1):
-        for q, g in graphs.items():
-            for block in _lyndon_blocks(g, p):
-                if _least_of_vertical_rotations(block, q):
-                    out.append(TorusTiling(p, q, block))
-    return out
+    return list(_tori(ts, ((p, q) for p in range(1, maxp + 1) for q in range(1, maxq + 1))))
 
 
 def classify(ts: TileSet, budget: int):
@@ -130,8 +149,8 @@ def classify(ts: TileSet, budget: int):
 
     Refutation first (an empty square size settles it), then torus search in
     increasing max(p, q); both sides exhaust at the budget.  The least p x q
-    block is least among its rotations, so it is a Lyndon walk unless it
-    repeats a closed walk of a smaller size, which the ladder tried earlier.
+    block is least among its translates, so it is kept unless it has a
+    smaller period on some axis, a size the ladder tried earlier.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
@@ -142,14 +161,8 @@ def classify(ts: TileSet, budget: int):
         ((p, q) for p in range(1, budget + 1) for q in range(1, budget + 1)),
         key=lambda s: (max(s), s[0], s[1]),
     )
-    graphs: dict[int, TransferGraph] = {}
-    for p, q in sizes:
-        if q not in graphs:
-            graphs[q] = build_transfer_graph(ts, q, wrap=True)
-        block = next(_lyndon_blocks(graphs[q], p), None)
-        if block is not None:
-            return PeriodicFound(TorusTiling(p, q, block))
-    return Unknown(budget)
+    found = next(_tori(ts, sizes), None)
+    return Unknown(budget) if found is None else PeriodicFound(found)
 
 
 def _shortest_cycle(graph: nx.DiGraph, v: int) -> tuple:

@@ -10,7 +10,9 @@ up to 6 wide against count_torus.  Admissible and extensible squares, and
 the patterns built without per-cell checks, are checked on domino sets with
 and without an extra 2 x 2 or 3 x 1 rule, and so is the square count read
 off walks on the open transfer graph; the pruned Lyndon-walk search is
-checked on random graphs against every closed walk.
+checked on random graphs against every closed walk.  The vertical rotation
+of a wrap graph is checked to be a graph automorphism, and the torus search
+that prunes with it against the block-tuple filter it replaced.
 """
 
 import random
@@ -31,7 +33,7 @@ from tilelab.lang import (
     count_torus,
     extensible_squares,
 )
-from tilelab.solver import Empty, PeriodicFound, Unknown, _lyndon_blocks, classify, enumerate_torus
+from tilelab.solver import Empty, PeriodicFound, Unknown, _lyndon_walks, _vertical_rotation, classify, enumerate_torus
 
 SQUARE = frozenset(Vec2(x, y) for x in range(2) for y in range(2))
 ROW3 = frozenset(Vec2(x, 0) for x in range(3))
@@ -67,11 +69,27 @@ CASES = [
 ]
 
 
-@pytest.fixture(params=CASES, ids=lambda c: f"{c[0]}-k{c[1]}-s{c[2]}")
+def _case_id(c) -> str:
+    return c if isinstance(c, str) else f"{c[0]}-k{c[1]}-s{c[2]}"
+
+
+def _case_tileset(kind: str, nstates: int, seed: int) -> TileSet:
+    return _random_tileset(random.Random(f"{kind}/{nstates}/{seed}"), nstates, KINDS[kind])
+
+
+@pytest.fixture(params=CASES, ids=_case_id)
 def case(request):
     kind, nstates, seed = request.param
-    ts = _random_tileset(random.Random(f"{kind}/{nstates}/{seed}"), nstates, KINDS[kind])
+    ts = _case_tileset(kind, nstates, seed)
     return ts, nstates, _constraints(ts)
+
+
+@pytest.fixture(params=[*CASES, "stripes", "checkerboard"], ids=_case_id)
+def case_or_corpus(request):
+    """A `case` tile set, or a corpus one read through its conftest fixture."""
+    if isinstance(request.param, str):
+        return request.getfixturevalue(request.param)
+    return _case_tileset(*request.param)
 
 
 def test_open_transfer_graph_matches_oracle_strips(case):
@@ -160,6 +178,50 @@ def test_walks_match_the_filled_torus_path(case):
     if isinstance(res, PeriodicFound):
         t = res.tiling
         assert t.block == next(_filled_tori(ts, t.p, t.q))
+
+
+def test_vertical_rotation_is_an_automorphism_of_every_wrap_graph(case_or_corpus):
+    """sigma sends each vertex to the one with every column rotated by one
+    row, permutes the vertices, maps the edge set onto itself, and has
+    order dividing the height.  Row3 sets have two-column vertices."""
+    for q in range(1, 5):
+        g = build_transfer_graph(case_or_corpus, q, wrap=True)
+        sigma = _vertical_rotation(g)
+        n = len(g.vertices)
+        assert sorted(sigma) == list(range(n)), q
+        assert [g.vertices[i] for i in sigma] == [tuple(c[1:] + c[:1] for c in v) for v in g.vertices], q
+        assert sorted((sigma[a], sigma[b]) for a, b in g.edges) == list(g.edges), q
+        power = list(range(n))
+        for _ in range(q):
+            power = [sigma[v] for v in power]
+        assert power == list(range(n)), q
+
+
+def _least_of_vertical_rotations(block: tuple, q: int) -> bool:
+    """The block-tuple orbit filter enumerate_torus applied to every Lyndon
+    walk before it filtered on vertex ids: no vertical rotation by 1..q-1
+    fixes the block or has a smaller horizontal rotation."""
+    for dy in range(1, q):
+        r = tuple(col[dy:] + col[:dy] for col in block)
+        if r == block or any(r[dx:] + r[:dx] < block for dx in range(len(r)) if r[dx] <= block[0]):
+            return False
+    return True
+
+
+def test_pruned_torus_search_keeps_what_the_block_filter_keeps(case_or_corpus):
+    """Every Lyndon walk, read off the flat torus fill as a block strictly
+    least among its horizontal rotations, goes through the block-tuple filter.
+    The pruned search must keep exactly those blocks, in the same order, at
+    every (p, q) up to (4, 4): pruning drops no orbit representative."""
+    ts = case_or_corpus
+    want = [
+        TorusTiling(p, q, block)
+        for p in range(1, 5)
+        for q in range(1, 5)
+        for block in _filled_tori(ts, p, q)
+        if all(block < block[i:] + block[:i] for i in range(1, p)) and _least_of_vertical_rotations(block, q)
+    ]
+    assert enumerate_torus(ts, 4, 4) == want
 
 
 def test_classify_matches_oracle(case):
@@ -309,6 +371,7 @@ def test_lyndon_walks_match_every_closed_walk(seed):
         n = rng.randint(2, 6)
         edges = {(a, b) for a in range(n) for b in range(n) if rng.random() < 0.35}
     g = TransferGraph(1, True, 1, tuple(((i,),) for i in range(n)), tuple(sorted(edges)))
+    sigma = _vertical_rotation(g)
+    assert sigma == list(range(n))  # height 1: no vertical rotation to filter on
     for p in range(1, 7):
-        want = [tuple((v,) for v in w) for w in _lyndon_walks_brute(n, edges, p)]
-        assert list(_lyndon_blocks(g, p)) == want, p
+        assert list(_lyndon_walks(g, p, sigma)) == _lyndon_walks_brute(n, edges, p), p
