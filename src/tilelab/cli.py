@@ -34,8 +34,13 @@ class ParseError(ValueError):
 
 
 def _content_lines(path) -> list[tuple[int, list[str]]]:
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:  # the line of the first bad byte, as splitlines counts lines
+        raise ParseError(path, len((data[:e.start].decode("utf-8") + ".").splitlines()), "not UTF-8 text") from None
     out = []
-    for no, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for no, raw in enumerate(text.splitlines(), 1):
         toks = raw.split("#", 1)[0].split()
         if toks:
             out.append((no, toks))
@@ -103,6 +108,8 @@ def parse_tileset(path) -> TileSet:
             raise ParseError(path, no, f"unknown directive {head!r}")
     if alphabet is None:
         raise ParseError(path, 1, "missing alphabet line")
+    if not raw_patterns:
+        raise ParseError(path, 1, "no constraint line")
     ts = TileSet.from_allowed(alphabet, [Pattern(alphabet, c) for c in raw_patterns])
     if mode != "forbidden":
         return ts

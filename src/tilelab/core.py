@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -344,10 +343,3 @@ def check_torus(ts: TileSet, t: TorusTiling) -> bool:
                 if window not in keys:
                     return False
     return True
-
-
-def lcm_all(values: Iterable[int]) -> int:
-    out = 1
-    for v in values:
-        out = math.lcm(out, v)
-    return out

@@ -15,16 +15,20 @@ def _getter(idxs: tuple[int, ...]):
     return itemgetter(*idxs) if len(idxs) > 1 else lambda cells: (cells[j],)
 
 
-def _anchor_checks(ts: TileSet, width: int, height: int, wrap_y: bool = False):
-    """Constraint windows over a width x height grid, grouped by last cell
-    assigned, each as a (getter, allowed state tuples) pair.
+def _anchor_checks(ts: TileSet, width: int, height: int, wrap_y: bool = False, first=()):
+    """Constraint windows over a width x height grid, grouped by the fill
+    position of their last cell, each as a (getter, allowed state tuples) pair.
 
-    Cells are indexed x-major ((x, y) -> x * height + y) and assigned in that
-    order, so a window can be tested as soon as its highest-index cell gets a
-    value.  Windows are anchored only where they fit horizontally; with
-    wrap_y the grid is a height-periodic cylinder, whose y coordinates are
-    read modulo the height and whose windows are anchored at every row.
+    Cells are indexed x-major ((x, y) -> x * height + y) and filled in that
+    order after the cells in first; a window reads each cell at its fill
+    position, so it is tested as soon as its last cell gets a value.  Windows
+    are anchored only where they fit horizontally; with wrap_y the grid is a
+    height-periodic cylinder, whose y coordinates are read modulo the height
+    and whose windows are anchored at every row.
     """
+    pos = {}  # the fill position of each cell, when some cells go first
+    if first:
+        pos = dict(zip([*first, *sorted(set(range(width * height)).difference(first))], range(width * height)))
     groups: list[list[tuple]] = [[] for _ in range(width * height)]
     for cells, keys in zip(ts.shape_cells, ts.allowed_keys):
         xs = range(width - max(c.x for c in cells))
@@ -32,23 +36,29 @@ def _anchor_checks(ts: TileSet, width: int, height: int, wrap_y: bool = False):
         for ax in xs:
             for ay in ys:
                 idxs = tuple((ax + c.x) * height + (ay + c.y) % height for c in cells)
+                if pos:
+                    idxs = tuple(pos[j] for j in idxs)
                 groups[max(idxs)].append((_getter(idxs), keys))
     return groups
 
 
-def _fill(nstates: int, size: int, groups) -> Iterator[list[int]]:
+def _fill(nstates: int, size: int, groups, keep: int | None = None) -> Iterator[list[int]]:
     """Depth-first fill of a flat cell array, branching states in ascending
     order; groups[i] holds the windows whose last cell is i (_anchor_checks).
 
     The search is a loop over the cell index, with the cell array as its
-    stack, so it has no depth limit.
+    stack, so it has no depth limit.  A completion yields its first keep cells
+    and resumes at cell keep - 1: each completable prefix comes out once, in order.
     """
+    keep = size if keep is None else keep
     cells = [-1] * size
     i = 0
     while i >= 0:
         if i == size:
-            yield cells[:]
-            i -= 1
+            yield cells[:keep]
+            if keep < size:
+                cells[keep:] = [-1] * (size - keep)
+            i = keep - 1
             continue
         for s in range(cells[i] + 1, nstates):
             cells[i] = s
@@ -70,14 +80,23 @@ def _grids(ts: TileSet, width: int, height: int, wrap_y: bool = False):
         yield tuple(tuple(flat[x * height:(x + 1) * height]) for x in range(width))
 
 
-def iter_admissible_squares(ts: TileSet, n: int) -> Iterator[Pattern]:
-    """All valid n x n fillings in lexicographic ((x, y)-major, state-ascending) order."""
+def _squares(ts: TileSet, n: int, margin: int) -> Iterator[Pattern]:
+    """The n x n squares that complete to a valid (n + 2*margin)-square, in
+    lexicographic order: one fill of the big square, center first (at margin 0
+    all of it, in index order), keeping each center at its first completion."""
     if n < 1:
         raise ValueError("n must be positive")
-    groups = _anchor_checks(ts, n, n)
+    big = n + 2 * margin
+    center = [(margin + x) * big + margin + y for x in range(n) for y in range(n)] if margin else ()
+    groups = _anchor_checks(ts, big, big, first=center)
     coords = [Vec2(i // n, i % n) for i in range(n * n)]
-    for cells in _fill(len(ts.alphabet), n * n, groups):
+    for cells in _fill(len(ts.alphabet), big * big, groups, keep=n * n):
         yield Pattern._trusted(ts.alphabet, dict(zip(coords, cells)))
+
+
+def iter_admissible_squares(ts: TileSet, n: int) -> Iterator[Pattern]:
+    """All valid n x n fillings in lexicographic ((x, y)-major, state-ascending) order."""
+    return _squares(ts, n, 0)
 
 
 def admissible_squares(ts: TileSet, n: int) -> list[Pattern]:
@@ -88,24 +107,11 @@ def extensible_squares(ts: TileSet, n: int, margin: int) -> list[Pattern]:
     """Admissible n x n squares that complete to a valid (n + 2*margin)-square.
 
     Only a finite completion is demanded, so this over-approximates extension
-    to a full tiling; margin 0 degenerates to admissibility.
+    to a full tiling.  One center-first fill (_squares) serves every square.
     """
     if margin < 0:
         raise ValueError("margin must be >= 0")
-    if margin == 0:
-        return admissible_squares(ts, n)
-    big = n + 2 * margin
-    groups = _anchor_checks(ts, big, big)
-    out = []
-    for p in iter_admissible_squares(ts, n):
-        # each center cell is pinned by a one-cell window checked before the others
-        pinned = groups[:]
-        for c, s in p.cells.items():
-            j = (margin + c.x) * big + (margin + c.y)
-            pinned[j] = [(_getter((j,)), {(s,)}), *groups[j]]
-        if next(_fill(len(ts.alphabet), big * big, pinned), None) is not None:
-            out.append(p)
-    return out
+    return list(_squares(ts, n, margin))
 
 
 @dataclass(frozen=True)

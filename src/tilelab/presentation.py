@@ -29,7 +29,7 @@ from functools import cached_property
 from itertools import chain, compress, count
 from math import isqrt, lcm
 
-from .core import Alphabet, Pattern, TileSet, Vec2, _as_vec, lcm_all
+from .core import Alphabet, Pattern, TileSet, Vec2, _as_vec
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,8 @@ def block_lcms(g: GridPresentation) -> Vec2:
     """Componentwise lcm of block periods; the whole plane repeats with these
     steps inside any single unbounded band."""
     return Vec2(
-        lcm_all(b.u for col in g.regions for b in col),
-        lcm_all(b.v for col in g.regions for b in col),
+        lcm(*(b.u for col in g.regions for b in col)),
+        lcm(*(b.v for col in g.regions for b in col)),
     )
 
 
@@ -130,8 +130,8 @@ def _band_steps(g: GridPresentation) -> tuple[int, int, int, int]:
     the step, and is anchored at the origin.  With no cut on an axis both
     sides are the one band, so left == right (or bottom == top)."""
     r = g.regions
-    return (lcm_all(b.u for b in r[0]), lcm_all(b.u for b in r[-1]),
-            lcm_all(col[0].v for col in r), lcm_all(col[-1].v for col in r))
+    return (lcm(*(b.u for b in r[0])), lcm(*(b.u for b in r[-1])),
+            lcm(*(col[0].v for col in r)), lcm(*(col[-1].v for col in r)))
 
 
 def _corners(cuts: tuple[int, ...], w: int, lo: int, hi: int) -> range:
@@ -186,7 +186,7 @@ class _Analysis:
         grid: list[list[int]] = []
         for xlo, xhi in zip(xedges, xedges[1:]):
             blocks = self.regions[bisect_right(xcuts, xlo)]
-            u = lcm_all(b.u for b in blocks)
+            u = lcm(*(b.u for b in blocks))
             shared: dict[int, list[int]] = {}
             for x in range(xlo, xhi):
                 col = shared.get(x % u)

@@ -385,7 +385,9 @@ def test_missing_file_exit_code(capsys):
     (("patterns", STRIPES, "--size", "0"), "n must be positive"),
     (("patterns", STRIPES, "--size", "0", "--count"), "n must be positive"),
     (("patterns", STRIPES, "--size", "2", "--margin", "-1", "--count"), "margin must be >= 0"),
-], ids=["torus-p", "torus-q", "classify", "weak-periodic", "patterns", "patterns-count", "patterns-margin"])
+    (("patterns", STRIPES, "--size", "0", "--margin", "-1"), "margin must be >= 0"),
+], ids=["torus-p", "torus-q", "classify", "weak-periodic", "patterns", "patterns-count", "patterns-margin",
+        "patterns-margin-before-size"])
 def test_nonpositive_bound_exit_code(capsys, argv, err):
     assert main(list(argv)) == 2
     assert capsys.readouterr() == ("", f"error: {err}\n")

@@ -13,7 +13,6 @@ from tilelab.core import (
     Vec2,
     appears_in,
     check_torus,
-    lcm_all,
     to_forbidden,
 )
 
@@ -180,8 +179,3 @@ def test_check_torus(checkerboard):
     assert check_torus(checkerboard, TorusTiling(2, 2, ((0, 1), (1, 0))))
     assert not check_torus(checkerboard, TorusTiling(1, 1, ((0,),)))
     assert not check_torus(checkerboard, TorusTiling(3, 2, ((0, 1), (1, 0), (0, 1))))
-
-
-def test_lcm_all():
-    assert lcm_all([]) == 1
-    assert lcm_all([2, 3, 4]) == 12

@@ -9,7 +9,10 @@ walks are also checked against a flat fill of the wrapped torus, and on tori
 up to 6 wide against count_torus.  Admissible and extensible squares, and
 the patterns built without per-cell checks, are checked on domino sets with
 and without an extra 2 x 2 or 3 x 1 rule, and so is the square count read
-off walks on the open transfer graph; the pruned Lyndon-walk search is
+off walks on the open transfer graph.  The fill that keeps a prefix of each
+completion is checked against the full fill, and the one center-first fill
+of extensible squares against the per-square search it replaced, which is
+restated here as the referee.  The pruned Lyndon-walk search is
 checked on random graphs against every closed walk.  The vertical rotation
 of a wrap graph is checked to be a graph automorphism, and the torus search
 that prunes with it against the block-tuple filter it replaced.
@@ -25,6 +28,7 @@ from tilelab.cli import parse_tileset
 from tilelab.core import Alphabet, Pattern, TileSet, TorusTiling, Vec2, to_forbidden
 from tilelab.lang import (
     TransferGraph,
+    _anchor_checks,
     _fill,
     _getter,
     _square_count,
@@ -102,6 +106,23 @@ def test_open_transfer_graph_matches_oracle_strips(case):
         index = {v: i for i, v in enumerate(want_vertices)}
         strips = brute.squares_rect(k, cons, g.cols + 1, q)
         assert g.edges == tuple(sorted((index[m[:-1]], index[m[1:]]) for m in strips))
+
+
+@pytest.mark.parametrize("wrap_y", [False, True], ids=["open", "wrap"])
+def test_fill_keeps_each_completable_prefix_once_in_order(case, wrap_y):
+    """_fill with keep yields exactly the sorted distinct keep-prefixes of
+    the full fill, on a 3 x 3 grid, in index order and with the middle row
+    filled first (whose full fill is the index-order one read in fill order)."""
+    ts, k, _ = case
+    size, first = 9, (4, 1, 7)
+    full = list(_fill(k, size, _anchor_checks(ts, 3, 3, wrap_y)))
+    order = [*first, *(c for c in range(size) if c not in first)]
+    for cells_first, grids in (((), full), (first, sorted([cells[c] for c in order] for cells in full))):
+        groups = _anchor_checks(ts, 3, 3, wrap_y, first=cells_first)
+        assert list(_fill(k, size, groups)) == grids
+        for keep in (1, size // 2, size):
+            want = sorted({tuple(cells[:keep]) for cells in grids})
+            assert [tuple(c) for c in _fill(k, size, groups, keep)] == want, keep
 
 
 def test_count_torus_matches_oracle(case):
@@ -288,11 +309,49 @@ def test_admissible_squares_match_oracle_in_order(extra, nstates, seed):
 @pytest.mark.parametrize("extra,nstates,seed", [c for c in SQUARE_CASES if c[1] == 2])
 def test_extensible_squares_match_brute_completions(extra, nstates, seed):
     """A 2-square extends at margin 1 when it is the centre of a valid
-    4-square: the fill pins the centre and checks the windows it closes."""
+    4-square."""
     ts, cons = _pair_case(extra, nstates, seed)
     centres = {tuple(col[1:3] for col in g[1:3]) for g in brute.squares_rect(nstates, cons, 4, 4)}
     want = [g for g in brute.squares_rect(nstates, cons, 2, 2) if g in centres]
     assert [_grid(p, 2, 2) for p in extensible_squares(ts, 2, 1)] == want
+
+
+def _pinned_extensible_squares(ts: TileSet, n: int, margin: int) -> list[Pattern]:
+    """The per-square search extensible_squares ran before its one
+    center-first fill: each admissible n-square gets its own fill of the
+    (n + 2*margin)-square, with every center cell pinned by a one-cell
+    window checked before the others."""
+    big = n + 2 * margin
+    groups = _anchor_checks(ts, big, big)
+    out = []
+    for p in admissible_squares(ts, n):
+        pinned = groups[:]
+        for c, s in p.cells.items():
+            j = (margin + c.x) * big + (margin + c.y)
+            pinned[j] = [(_getter((j,)), {(s,)}), *groups[j]]
+        if next(_fill(len(ts.alphabet), big * big, pinned), None) is not None:
+            out.append(p)
+    return out
+
+
+@pytest.fixture(params=[*SQUARE_CASES, "stripes", "checkerboard"], ids=_case_id)
+def square_case_or_corpus(request):
+    if isinstance(request.param, str):
+        return request.getfixturevalue(request.param)
+    return _pair_case(*request.param)[0]
+
+
+@pytest.mark.parametrize("n,margin", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2)])
+def test_center_first_fill_matches_the_pinned_search(square_case_or_corpus, n, margin):
+    ts = square_case_or_corpus
+    assert extensible_squares(ts, n, margin) == _pinned_extensible_squares(ts, n, margin)
+
+
+def test_a_negative_margin_is_refused_before_a_bad_size(stripes):
+    with pytest.raises(ValueError, match="margin must be >= 0"):
+        extensible_squares(stripes, 0, -1)
+    with pytest.raises(ValueError, match="n must be positive"):
+        extensible_squares(stripes, 0, 1)
 
 
 @pytest.mark.parametrize("extra,nstates,seed", SQUARE_CASES)
