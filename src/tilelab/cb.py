@@ -3,8 +3,9 @@
 A member is isolated in its family when some pattern of its plane occurs in
 no other extraction class and, within the plane itself, occurs along a single
 orbit of the period lattice (in particular: exactly once when the lattice is
-trivial).  Removing all isolated classes at once and iterating assigns each
-member the round at which it disappears; what never disappears is the residue.
+trivial).  One test at the member's search bound decides it (`_isolated`).
+Removing all isolated classes at once and iterating assigns each member the
+round at which it disappears; what never disappears is the residue.
 """
 
 from __future__ import annotations
@@ -32,45 +33,52 @@ def _search_bounds(f: TilingFamily, g: GridPresentation) -> tuple[int, int]:
     return max(f.window, m.x), max(f.window, m.y)
 
 
-def isolating_pattern(f: TilingFamily, name: str) -> Pattern | None:
-    """Smallest pattern private to name's class whose occurrences in name's
-    own plane form one period-lattice orbit; None when no such pattern exists
-    within the search bounds."""
+def _pinning_key(f: TilingFamily, name: str, w: int, h: int) -> tuple[int, ...] | None:
+    """Least coded w x h window of name's plane in no other class whose
+    occurrences in the plane form one period-lattice orbit, else None."""
     x = f.presentation(name)
     mine = next(cls for cls in equivalence_classes(f) if name in cls)
-    others = [f.presentation(o)._index for o in f.names() if o not in mine]
-    bw, bh = _search_bounds(f, x)
-    # a single class covering x at the full bound covers every sub-window too
-    full = x._index.rect_keys(bw, bh)
-    for y in others:
-        if full <= y.rect_keys(bw, bh):
+    cands = set(x._index.rect_keys(w, h))
+    for y in (f.presentation(o)._index for o in f.names() if o not in mine):
+        cands -= y.rect_keys(w, h)
+        if not cands:
             return None
     lat = None
     # coded keys sort like the windows' x-major state tuples
-    for w, h in _dims_ascending(bw, bh):
-        cands = set(x._index.rect_keys(w, h))
-        for y in others:
-            cands -= y.rect_keys(w, h)
-            if not cands:
-                break
-        for key in sorted(cands):
-            positions, dirs = _occurrence_scan(x, w, h, {key})
-            if len(positions) == 1 and not dirs:
-                return _key_pattern(x.alphabet, key, h)
-            if lat is None:
-                lat = period_lattice(x)
-            base = positions[0]
-            if all(lat.contains(pos - base) for pos in positions[1:]) and all(
-                lat.contains(d) for d in dirs
-            ):
-                return _key_pattern(x.alphabet, key, h)
+    for key in sorted(cands):
+        positions, dirs = _occurrence_scan(x, w, h, {key})
+        if len(positions) == 1 and not dirs:
+            return key
+        lat = lat or period_lattice(x)
+        base = positions[0]
+        if all(lat.contains(pos - base) for pos in positions[1:]) and all(lat.contains(d) for d in dirs):
+            return key
     return None
 
 
+def _isolated(f: TilingFamily, name: str) -> bool:
+    """Whether some window within the search bounds pins name, decided at the
+    bounds alone.  If a smaller window P pins name, so does the bound-size
+    window Q at one of P's occurrence corners: Q is private because P is, and
+    Q's occurrences are among P's, which form one orbit."""
+    return _pinning_key(f, name, *_search_bounds(f, f.presentation(name))) is not None
+
+
+def isolating_pattern(f: TilingFamily, name: str) -> Pattern | None:
+    """Smallest pattern private to name's class whose occurrences in name's
+    own plane form one period-lattice orbit; None when no such pattern exists
+    within the search bounds.  Sizes are swept only once `_isolated` holds."""
+    if not _isolated(f, name):
+        return None
+    for w, h in _dims_ascending(*_search_bounds(f, f.presentation(name))):
+        key = _pinning_key(f, name, w, h)
+        if key is not None:
+            return _key_pattern(f.tileset.alphabet, key, h)
+
+
 def isolated_classes(f: TilingFamily) -> tuple[tuple[str, ...], ...]:
-    return tuple(
-        cls for cls in equivalence_classes(f) if isolating_pattern(f, cls[0]) is not None
-    )
+    """Classes whose first member some window pins (`_isolated`)."""
+    return tuple(cls for cls in equivalence_classes(f) if _isolated(f, cls[0]))
 
 
 def derivative(f: TilingFamily) -> TilingFamily:

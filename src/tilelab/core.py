@@ -306,6 +306,13 @@ class TorusTiling:
         if len(self.block) != self.p or any(len(col) != self.q for col in self.block):
             raise ValueError("block shape mismatch")
 
+    @classmethod
+    def _trusted(cls, p: int, q: int, block: tuple[tuple[int, ...], ...]) -> "TorusTiling":
+        """Unchecked constructor: block must be p columns of q states each."""
+        t = object.__new__(cls)
+        t.__dict__.update(p=p, q=q, block=block)
+        return t
+
     def state_at(self, x: int, y: int) -> int:
         return self.block[x % self.p][y % self.q]
 

@@ -120,7 +120,7 @@ def _tori(ts: TileSet, sizes):
             graphs[q] = g, _vertical_rotation(g)
         g, sigma = graphs[q]
         for walk in _lyndon_walks(g, p, sigma):
-            yield TorusTiling(p, q, tuple([g.vertices[v][0] for v in walk]))
+            yield TorusTiling._trusted(p, q, tuple([g.vertices[v][0] for v in walk]))
 
 
 def enumerate_torus(ts: TileSet, maxp: int, maxq: int) -> list[TorusTiling]:

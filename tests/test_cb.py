@@ -1,9 +1,15 @@
+import random
+from bisect import bisect_right
+from functools import cache
+
 import pytest
 
 from oracle import brute
 from conftest import corpus_planes
 from tilelab.cb import (
     RankReport,
+    _isolated,
+    _pinning_key,
     _search_bounds,
     derivative,
     isolated_classes,
@@ -16,6 +22,8 @@ from tilelab.presentation import (
     Block,
     Finite,
     GridPresentation,
+    _dims_ascending,
+    _key_pattern,
     _occurrence_scan,
     occurrences,
     period_lattice,
@@ -152,20 +160,31 @@ def test_derivatives_reuse_parent_comparisons(family6, monkeypatch):
     assert not compared & set(calls)
 
 
+def one_copy_band_family():
+    """x = ...abab | cca cca...; y = ccc..., then abab over [-12, 0), then
+    x's right band; with plane functions read off that description."""
+    al = Alphabet(("a", "b", "c"))
+    free = TileSet.dominoes(al, [(s, t) for s in al.tokens for t in al.tokens], [])
+    a, b, c = range(3)
+    ab, right, cs = Block(2, 1, ((a,), (b,))), Block(3, 1, ((c,), (c,), (a,))), Block.filled(1, 1, c)
+    x = GridPresentation(al, (0,), (), ((ab,), (right,)))
+    y = GridPresentation(al, (-12, 0), (), ((cs,), (ab,), (right,)))
+    fns = {
+        "x": lambda px, py: (a, b)[px % 2] if px < 0 else (c, c, a)[px % 3],
+        "y": lambda px, py: c if px < -12 else (a, b)[px % 2] if px < 0 else (c, c, a)[px % 3],
+    }
+    return TilingFamily(free, [("x", x), ("y", y)], 2), fns
+
+
 def test_one_copy_band_occurrence_needs_its_band_step_in_the_lattice():
     """x's only private windows within its search bound lie in its left
     band, where they recur with that band's step 2 (the global lcm is 6).
     The scan box holds one copy of the least of them, so only the
     direction (-2, 0), which is no period of x, rejects it: x is not
     isolated until y is gone."""
-    al = Alphabet(("a", "b", "c"))
-    free = TileSet.dominoes(al, [(s, t) for s in al.tokens for t in al.tokens], [])
-    a, b, c = range(3)
-    ab, right, cs = Block(2, 1, ((a,), (b,))), Block(3, 1, ((c,), (c,), (a,))), Block.filled(1, 1, c)
-    # x: ...abab | cca cca...; y: ccc... then abab over [-12, 0), then x's right band
-    x = GridPresentation(al, (0,), (), ((ab,), (right,)))
-    y = GridPresentation(al, (-12, 0), (), ((cs,), (ab,), (right,)))
-    f = TilingFamily(free, [("x", x), ("y", y)], 2)
+    f, fns = one_copy_band_family()
+    x = f.presentation("x")
+    a, b = 0, 1
     assert _search_bounds(f, x) == (12, 2)
     key = (b, a) * 6  # 12 x 1 from an odd column; at height 1 a coded key is the row itself
     positions, dirs = _occurrence_scan(x, 12, 1, {key})
@@ -173,10 +192,114 @@ def test_one_copy_band_occurrence_needs_its_band_step_in_the_lattice():
     assert dirs == {Vec2(-2, 0), Vec2(0, -1), Vec2(0, 1)}
     assert not period_lattice(x).contains((2, 0))
     assert isolating_pattern(f, "x") is None
-    fns = {
-        "x": lambda px, py: (a, b)[px % 2] if px < 0 else (c, c, a)[px % 3],
-        "y": lambda px, py: c if px < -12 else (a, b)[px % 2] if px < 0 else (c, c, a)[px % 3],
-    }
     table, residue = brute.brute_ranks(fns, {"x": (12, 2), "y": (24, 2)}, 40, 48)
     assert table == {"y": 1, "x": 2} == ranks(f).ranks
     assert residue == set()
+
+
+# ------------------------------------- isolation decided at the bound
+
+def random_family(rng, cuts, umax, vmax):
+    """(family, plane fns): 2-4 members over 2-3 states under free
+    horizontal pairs, each with 0-2 x-cuts and 0-1 y-cuts drawn from cuts,
+    every block drawn from one pool of 1-4 blocks up to umax x vmax, so that
+    members share windows.  The fns are read off the raw draws."""
+    k = rng.randint(2, 3)
+    al = Alphabet(tuple(f"s{i}" for i in range(k)))
+    free = TileSet.dominoes(al, [(s, t) for s in al.tokens for t in al.tokens], [])
+    pool = [tuple(tuple(rng.randrange(k) for _ in range(v)) for _ in range(rng.randint(1, umax)))
+            for v in (rng.randint(1, vmax) for _ in range(rng.randint(1, 4)))]
+    members, fns = [], {}
+    for i in range(rng.randint(2, 4)):
+        xcuts = tuple(sorted(rng.sample(cuts, rng.randint(0, 2))))
+        ycuts = tuple(sorted(rng.sample(cuts, rng.randint(0, 1))))
+        raw = [[rng.choice(pool) for _ in range(len(ycuts) + 1)] for _ in range(len(xcuts) + 1)]
+
+        @cache  # the oracle reads each cell many times
+        def fn(x, y, raw=raw, xcuts=xcuts, ycuts=ycuts):
+            data = raw[bisect_right(xcuts, x)][bisect_right(ycuts, y)]
+            return data[x % len(data)][y % len(data[0])]
+
+        regions = tuple(tuple(Block(len(d), len(d[0]), d) for d in col) for col in raw)
+        members.append((f"m{i}", GridPresentation(al, xcuts, ycuts, regions)))
+        fns[f"m{i}"] = fn
+    return TilingFamily(free, members, 2), fns
+
+
+def swept_witness(f, name):
+    """The least pinning window over every size within the search bounds,
+    as (key, w, h), with no decision at the bound first; None if none."""
+    for w, h in _dims_ascending(*_search_bounds(f, f.presentation(name))):
+        key = _pinning_key(f, name, w, h)
+        if key is not None:
+            return key, w, h
+    return None
+
+
+def bound_window_pins(f, name, key, w, h):
+    """Whether the bound-size window at the first occurrence corner of the
+    w x h window key lies in no other class and on one orbit of the plane."""
+    x = f.presentation(name)
+    bw, bh = _search_bounds(f, x)
+    (cx, cy), *_ = _occurrence_scan(x, w, h, {key})[0]
+    big = next(iter(x._index.windows(bw, bh, range(cx, cx + 1), range(cy, cy + 1))))
+    mine = next(cls for cls in f._classes if name in cls)
+    if any(big in f.presentation(o)._index.rect_keys(bw, bh) for o in f.names() if o not in mine):
+        return False
+    positions, dirs = _occurrence_scan(x, bw, bh, {big})
+    lat = period_lattice(x)
+    return all(lat.contains(p - positions[0]) for p in positions) and all(map(lat.contains, dirs))
+
+
+def test_isolation_at_the_search_bound_matches_the_sweep():
+    """A window pinning a member makes the bound-size window at any of its
+    occurrence corners pin it too, so `_isolated`, which tests the bound
+    only, agrees with the sweep over every smaller size, at every window from
+    the largest constraint extent to N + 2 and in every derivative round."""
+    rng = random.Random(7301)
+    families = [one_copy_band_family()] + [random_family(rng, range(-3, 4), 3, 2) for _ in range(24)]
+    decisions = pinned = 0
+    for base, _ in families:
+        for window in range(2, base._n + 3):
+            f = TilingFamily(base.tileset, base.members, window, validate=False)
+            while f.names():
+                for name in f.names():
+                    swept = swept_witness(f, name)
+                    assert _isolated(f, name) == (swept is not None), (window, name)
+                    decisions += 1
+                    if swept is None:
+                        assert isolating_pattern(f, name) is None
+                        continue
+                    key, w, h = swept
+                    assert isolating_pattern(f, name) == _key_pattern(f.tileset.alphabet, key, h)
+                    assert bound_window_pins(f, name, key, w, h), (window, name)
+                    pinned += 1
+                rest = derivative(f)
+                if len(rest.names()) == len(f.names()):
+                    break
+                f = rest
+    assert 0.2 < pinned / decisions < 0.9
+
+
+def test_ranks_match_oracle_at_library_bounds():
+    """The oracle tries every size up to each member's `_search_bounds`, so
+    the library's decision at the bound alone is refereed.  Cuts in [-2, 2]
+    and blocks up to 2 x 2 keep every bound at most 8 and every band step at
+    most 2: each window content has a copy with its corner in [-12, 4], so
+    within reach 12, and reach 16 sees an infinite occurrence family grow.
+    The oracle has no classes, so the members are drawn pairwise apart."""
+    rng = random.Random(2008)
+    checked = deep = 0
+    while checked < 15:
+        f, fns = random_family(rng, range(-2, 3), 2, 2)
+        if len(f._classes) < len(f.names()):
+            continue
+        bounds = {n: _search_bounds(f, f.presentation(n)) for n in f.names()}
+        assert max(max(b) for b in bounds.values()) <= 8
+        table, residue = brute.brute_ranks(fns, bounds, 14, 16)
+        report = ranks(f)
+        assert report.ranks == table
+        assert set(report.residue) == residue
+        checked += 1
+        deep += report.family_rank >= 2
+    assert deep

@@ -15,6 +15,7 @@ from tilelab.core import (
     check_torus,
     to_forbidden,
 )
+from tilelab.solver import enumerate_torus
 
 
 def test_vec2_arithmetic():
@@ -173,6 +174,21 @@ def test_torus_tiling_keys_and_periods():
     assert flat.h_period() == 1 and flat.v_period() == 1
     with pytest.raises(ValueError):
         TorusTiling(2, 2, ((0, 1), (1,)))
+
+
+def test_trusted_torus_tiling_is_the_checked_one(stripes):
+    """solver builds its tori unchecked; they must be indistinguishable
+    from checked ones, and every one of them must pass the check."""
+    for p, q, block in ((2, 2, ((0, 1), (1, 0))), (3, 1, ((0,), (1,), (2,))), (1, 2, ((0, 1),))):
+        t, u = TorusTiling(p, q, block), TorusTiling._trusted(p, q, block)
+        assert u == t and hash(u) == hash(t) and repr(u) == repr(t)
+        assert {t: p}[u] == p
+        assert (u.canonical_key(), u.h_period(), u.v_period()) == (t.canonical_key(), t.h_period(), t.v_period())
+        assert pickle.loads(pickle.dumps(u)) == t and copy.copy(u) == t
+        with pytest.raises(AttributeError):
+            u.p = 5
+    for t in enumerate_torus(stripes, 3, 3):
+        assert TorusTiling(t.p, t.q, t.block) == t
 
 
 def test_check_torus(checkerboard):
