@@ -18,6 +18,7 @@ import functools
 import json
 import sys
 from itertools import islice
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .cb import ranks
@@ -198,9 +199,12 @@ def emit_tileset(ts: TileSet) -> str:
     return "\n".join(out) + "\n"
 
 
-def _rows(block, alphabet: Alphabet) -> list[str]:
-    """Column-major block[x][y] as rows of tokens, top row first."""
-    return [" ".join(alphabet.tokens[s] for s in row) for row in reversed(list(zip(*block)))]
+def _rows(block, alphabet: Alphabet, memo: dict | None = None) -> list[str]:
+    """Column-major block[x][y] as rows of tokens, top row first.  memo maps
+    a row of states to its text; one call's blocks may share it."""
+    toks, memo = alphabet.tokens, {} if memo is None else memo
+    return [memo[r] if r in memo else memo.setdefault(r, " ".join([toks[s] for s in r]))
+            for r in reversed(list(zip(*block)))]
 
 
 def emit_presentation(g: GridPresentation) -> str:
@@ -218,15 +222,15 @@ def emit_presentation(g: GridPresentation) -> str:
 
 def _pattern_json(p: Pattern) -> dict:
     p = p.normalize()
-    toks = p.alphabet.tokens
     w, h = p.extents()
-    if p.is_rectangular():
-        return {"width": w, "height": h, "rows": p.rows()}
+    if len(p.cells) == w * h:
+        return {"width": w, "height": h, "rows": p._top_rows(w, h)}
+    toks = p.alphabet.tokens
     return {"cells": [[c.x, c.y, toks[s]] for c, s in sorted(p.cells.items())]}
 
 
-def _torus_json(t: TorusTiling, alphabet: Alphabet) -> dict:
-    return {"p": t.p, "q": t.q, "rows": _rows(t.block, alphabet)}
+def _torus_json(t: TorusTiling, alphabet: Alphabet, memo: dict | None = None) -> dict:
+    return {"p": t.p, "q": t.q, "rows": _rows(t.block, alphabet, memo)}
 
 
 def _presentation_json(g: GridPresentation) -> dict:
@@ -241,8 +245,29 @@ def _lattice_json(lat) -> dict:
     return {"rank": lat.rank, "generators": [[v.x, v.y] for v in lat.generators]}
 
 
+def _json(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) for str-keyed dicts, lists,
+    tuples, str, int, bool and None, with one join per container: indent
+    makes the stdlib take its pure-Python encoder.  Strings are escaped by
+    the stdlib's own C function; other scalars go through json.dumps."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if type(obj) is int:
+        return repr(obj)
+    if obj is None or type(obj) is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        items = [_quote(k) + ": " + _json(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = [_json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    return json.dumps(obj)
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(_json(obj))
 
 
 def _cmd_patterns(ts: TileSet, args) -> int:
@@ -258,7 +283,8 @@ def _cmd_patterns(ts: TileSet, args) -> int:
 
 def _cmd_torus(ts: TileSet, args) -> int:
     tilings = enumerate_torus(ts, args.max_p, args.max_q)
-    _emit({"count": len(tilings), "tilings": [_torus_json(t, ts.alphabet) for t in tilings]})
+    memo: dict = {}  # tori share their rows: each distinct row is rendered once
+    _emit({"count": len(tilings), "tilings": [_torus_json(t, ts.alphabet, memo) for t in tilings]})
     return 0
 
 

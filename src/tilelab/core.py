@@ -150,14 +150,16 @@ class Pattern:
 
     def rows(self) -> list[str]:
         """Rectangular pattern as rows of tokens, top row first."""
-        if not self.is_rectangular():
-            raise ValueError("pattern is not rectangular")
         p = self.normalize()
         w, h = p.extents()
-        out = []
-        for y in range(h - 1, -1, -1):
-            out.append(" ".join(self.alphabet.tokens[p.cells[Vec2(x, y)]] for x in range(w)))
-        return out
+        if len(p.cells) != w * h:
+            raise ValueError("pattern is not rectangular")
+        return p._top_rows(w, h)
+
+    def _top_rows(self, w: int, h: int) -> list[str]:
+        """rows() of a normalized w x h rectangular pattern."""
+        toks, cells = self.alphabet.tokens, self.cells
+        return [" ".join([toks[cells[Vec2(x, y)]] for x in range(w)]) for y in range(h - 1, -1, -1)]
 
 
 def appears_in(needle: Pattern, haystack: Pattern) -> bool:

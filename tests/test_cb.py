@@ -303,3 +303,41 @@ def test_ranks_match_oracle_at_library_bounds():
         checked += 1
         deep += report.family_rank >= 2
     assert deep
+
+
+# ------------------------------------- one period lattice per isolating_pattern call
+
+def short_bound_family(window):
+    """x = ...abab | aaa... (left block u = 2) and y = a...a b a...a (cuts -1
+    and 0) under free horizontal pairs: at windows 2-4 x's search bound is
+    one column short of its 5 x 1 isolating window."""
+    al = Alphabet(("a", "b"))
+    free = TileSet.dominoes(al, [(s, t) for s in al.tokens for t in al.tokens], [])
+    a, b = Block.filled(1, 1, 0), Block.filled(1, 1, 1)
+    x = GridPresentation(al, (0,), (), ((Block(2, 1, ((0,), (1,))),), (a,)))
+    y = GridPresentation(al, (-1, 0), (), ((a,), (b,), (a,)))
+    return TilingFamily(free, [("x", x), ("y", y)], window)
+
+
+def test_isolating_pattern_computes_one_period_lattice(family6, monkeypatch):
+    """The bound test and the size sweep of one call share one lattice, and
+    the witnesses are the per-size sweep's."""
+    import tilelab.cb
+
+    families = [family6, derivative(family6)] + [short_bound_family(w) for w in range(2, 7)]
+    expected = []
+    for f in families:
+        for name in f.names():
+            swept = swept_witness(f, name)
+            witness = swept and _key_pattern(f.tileset.alphabet, swept[0], swept[2])
+            expected.append((f, name, witness))
+    real, calls = tilelab.cb.period_lattice, []
+    monkeypatch.setattr(tilelab.cb, "period_lattice", lambda g: calls.append(g) or real(g))
+    needed = 0
+    for f, name, witness in expected:
+        calls.clear()
+        assert isolating_pattern(f, name) == witness, name
+        assert len(calls) <= 1, (f.window, name, len(calls))
+        needed += len(calls)
+    assert needed >= 10
+    assert sum(w is not None for _, _, w in expected) >= 20

@@ -350,6 +350,68 @@ def test_a_call_leaves_no_scan_index_alive(capsys, argv):
         gc.enable()
 
 
+# ------------------------------------------------------ canonical stdout
+
+CHECKER = str(CORPUS / "checkerboard.tiles")
+
+
+def canonical(capsys, argv) -> tuple[int, dict]:
+    """Run argv and check that stdout is json.dumps(indent=2, sort_keys=True)
+    of its own value, plus a newline."""
+    rc = main(argv)
+    out = capsys.readouterr().out
+    value = json.loads(out)
+    assert out == json.dumps(value, indent=2, sort_keys=True) + "\n"
+    return rc, value
+
+
+@pytest.mark.parametrize("argv, rc, check", [
+    (["patterns", STRIPES, "--size", "2", "--margin", "1"], 0, lambda o: o["count"] == len(o["patterns"]) > 1),
+    (["classify", CHECKER, "--budget", "4"], 0, lambda o: o["outcome"] == "periodic"),
+    (["weak-periodic", STRIPES, "--max-period", "1"], 0, lambda o: o["found"] is True),
+    (["weak-periodic", CHECKER, "--max-period", "4"], 1, lambda o: o["found"] is False),
+    (["validate", STRIPES, str(FAMILY_DIR / "a1.pres")], 0, lambda o: o["valid"] is True),
+    (["analyze", STRIPES, str(FAMILY_DIR / "a2.pres")], 0, lambda o: o["type"]["kind"] == "b"),
+    (["order", STRIPES, FAMILY, "--window", "6"], 0, lambda o: len(o["classes"]) == 23),
+], ids=lambda v: v[0] if isinstance(v, list) else "")
+def test_stdout_is_canonical_json(capsys, argv, rc, check):
+    got, out = canonical(capsys, argv)
+    assert got == rc
+    assert check(out)
+
+
+def test_torus_stdout_is_canonical_json(capsys, tmp_path):
+    # free 3-state pairs but c over c: 1,069 tori, which share their rows
+    f = tmp_path / "dense.tiles"
+    f.write_text("alphabet a b c\n" + "".join(f"hpair {s} {t}\nvpair {s} {t}\n" for s in "abc" for t in "abc")
+                 .replace("vpair c c\n", ""))
+    rc, out = canonical(capsys, ["torus", str(f), "--max-p", "3", "--max-q", "3"])
+    assert rc == 0
+    assert out["count"] == len(out["tilings"]) == 1069
+    assert all(len(t["rows"]) == t["q"] and {len(r.split()) for r in t["rows"]} == {t["p"]} for t in out["tilings"])
+
+
+def test_cb_stdout_is_canonical_json_with_a_residue(capsys, monkeypatch):
+    """A residue member prints as null.  No corpus family keeps a residue,
+    so the report is cut one round short: its last round becomes the
+    residue, as if those classes never isolated."""
+    import tilelab.cli
+    from tilelab.cb import RankReport
+
+    real = tilelab.cli.ranks
+
+    def cut_short(f):
+        r = real(f)
+        kept = {n: k for n, k in r.ranks.items() if k < r.family_rank}
+        return RankReport(kept, r.family_rank - 1, tuple(n for n in r.ranks if n not in kept))
+
+    monkeypatch.setattr(tilelab.cli, "ranks", cut_short)
+    rc, out = canonical(capsys, ["cb", STRIPES, FAMILY, "--window", "6"])
+    assert rc == 0
+    assert out["residue"] == ["mono_black", "mono_green", "mono_red", "mono_white"]
+    assert out["ranks"]["mono_red"] is None and out["ranks"]["a3"] == 1
+
+
 # -------------------------------------------------------------- exit codes
 
 def test_parse_error_exit_code(capsys, tmp_path):

@@ -1,7 +1,7 @@
 """Every name a library module imports is used in it, every private
 module-level helper is used somewhere in the package, only `solver`
 reaches outside the standard library, and no module keeps process-wide
-mutable state.
+mutable state or a process-wide memoized function.
 
 `__init__.py` is exempt from the first check: its imports are the package's
 public surface.  Names are collected with the standard `ast` module,
@@ -179,3 +179,55 @@ def test_detects_module_level_containers():
     tree = ast.parse("A = {}\nB: list[int] = []\nC = (1, 2)\nD = {k: 1 for k in 'ab'}\nE = set()\n"
                      "F = frozenset()\nif A:\n    G = [1]\ndef f():\n    H = {}\nclass K:\n    I = []\n")
     assert _module_containers(tree) == [("A", 1), ("B", 2), ("D", 4), ("E", 5), ("G", 8)]
+
+
+# module-level functions that may memoize process-wide: the CLI's argument
+# parser, which is built at the first call and only read after that
+CACHED_FUNCTIONS = {("cli.py", "_parser")}
+
+
+def _is_cache(node: ast.expr) -> bool:
+    """Whether an expression is functools.cache or lru_cache: bare, dotted
+    or called, as in `lru_cache(maxsize=None)`."""
+    while isinstance(node, ast.Call):
+        node = node.func
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in ("cache", "lru_cache")
+
+
+def _module_caches(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) for each module-level function or class method memoized
+    by functools.cache or lru_cache, as a decorator or as a call bound to a
+    module-level name.  A cache made inside a function lives for that call."""
+    out = []
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if any(map(_is_cache, node.decorator_list)):
+                out.append((node.name, node.lineno))
+            continue
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None and _is_cache(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
+        todo += ast.iter_child_nodes(node)
+    return sorted(out, key=lambda t: t[1])
+
+
+def test_no_process_wide_caches():
+    """A memoized module-level function keeps its answers for the life of
+    the process, so the next call would be answered from this one's work."""
+    found = [f"{p.name}:{line}: {name}" for p in sorted(SRC.glob("*.py"))
+             for name, line in _module_caches(ast.parse(p.read_text(), filename=str(p)))
+             if (p.name, name) not in CACHED_FUNCTIONS]
+    assert not found, "module-level memoized functions:\n" + "\n".join(found)
+
+
+def test_detects_module_level_caches():
+    tree = ast.parse("import functools\nfrom functools import cache, lru_cache, cached_property\n"
+                     "@cache\ndef a(): pass\n@functools.lru_cache(maxsize=None)\ndef b(): pass\n"
+                     "@lru_cache\ndef c(): pass\nclass K:\n    @functools.cache\n    def d(self): pass\n"
+                     "    @cached_property\n    def e(self): pass\nf = cache(len)\n"
+                     "def g():\n    h = cache(len)\n    @cache\n    def i(): pass\n"
+                     "if a:\n    @functools.cache\n    def j(): pass\n")
+    assert _module_caches(tree) == [("a", 4), ("b", 6), ("c", 8), ("d", 11), ("f", 14), ("j", 21)]
