@@ -6,7 +6,9 @@ band structure can ask (window languages, occurrence counts, period lattices,
 recurrence type) reduces to finite scans whose ranges come from the band
 spans plus, on each side, one step of that side's extreme band (the lcm of
 its own block periods); the scan-range arguments are spelled out at the
-functions that rely on them.
+functions that rely on them.  A window inside a middle band repeats under the
+band's own step, so a tall middle band keeps two steps of inside corners in
+every scan box (`_corners`); `occurrences` counts what they stand for.
 
 Every scan reads its plane's index (`_Analysis`, the plane's `_index`): a
 cell grid filled block by block, and per run height h its column codes, the
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count
 from math import isqrt, lcm
+from operator import itemgetter
 
 from .core import Alphabet, Pattern, TileSet, Vec2, _as_vec
 
@@ -85,8 +88,37 @@ class GridPresentation:
         """The plane's scan index, built on first use; not a field, so ==, hash and repr ignore it."""
         return _Analysis(self)
 
+    @cached_property
+    def _lattice(self) -> PeriodLattice:
+        """The plane's period lattice, found on first use (`period_lattice`); not a field either.
+
+        Any period with a nonzero x-component forces (ux, 0) to be a period: far
+        enough along the period direction every cell sits in an extreme x-band,
+        where the plane repeats with step ux, and the cut structure transports
+        that repetition back everywhere.  So the x-projection of the lattice is
+        nontrivial iff (ux, 0) is a period, and likewise for y; candidate
+        generators then range over divisors of the block lcms.
+        """
+        ux, vy = block_lcms(self)
+        has_h = _is_period(self, Vec2(ux, 0))
+        has_v = _is_period(self, Vec2(0, vy))
+        if has_v:
+            c0 = next(d for d in _divisors(vy) if _is_period(self, Vec2(0, d)))
+        if has_h and not has_v:
+            a0 = next(d for d in _divisors(ux) if _is_period(self, Vec2(d, 0)))
+            return PeriodLattice(1, (Vec2(a0, 0),))
+        if has_v and not has_h:
+            return PeriodLattice(1, (Vec2(0, c0),))
+        if not has_h and not has_v:
+            return PeriodLattice(0, ())
+        for a in _divisors(ux):
+            for b in range(c0):
+                if _is_period(self, Vec2(a, b)):
+                    return PeriodLattice(2, (Vec2(a, b), Vec2(0, c0)))
+        raise AssertionError("unreachable: (ux, 0) is a period")
+
     def __reduce__(self):
-        # copies and pickles rebuild from the fields, never carrying an index
+        # copies and pickles rebuild from the fields, never carrying an index or a lattice
         return GridPresentation, (self.alphabet, self.xcuts, self.ycuts, self.regions)
 
 
@@ -130,44 +162,65 @@ def _band_steps(g: GridPresentation) -> tuple[int, int, int, int]:
     the step, and is anchored at the origin.  With no cut on an axis both
     sides are the one band, so left == right (or bottom == top)."""
     r = g.regions
-    return (lcm(*(b.u for b in r[0])), lcm(*(b.u for b in r[-1])),
-            lcm(*(col[0].v for col in r)), lcm(*(col[-1].v for col in r)))
+    return (lcm(*[b.u for b in r[0]]), lcm(*[b.u for b in r[-1]]),
+            lcm(*[col[0].v for col in r]), lcm(*[col[-1].v for col in r]))
 
 
-def _corners(cuts: tuple[int, ...], w: int, lo: int, hi: int) -> range:
-    """Corners on one axis whose length-w runs realize every run content of
-    a plane cut at cuts that repeats with step lo below them and hi above:
-    every straddling corner plus one step deep into each extreme band, or
-    one step's worth of corners when there is no cut (then lo == hi)."""
-    return range(min(cuts) - w - lo, max(cuts) + hi + 1) if cuts else range(0, lo)
+def _corners(cuts: tuple[int, ...], w: int, lo: int, hi: int, mids=()) -> tuple[range, ...]:
+    """Nonempty increasing corner ranges on one axis whose length-w runs
+    realize every run content of a plane cut at cuts that repeats with step
+    lo below them and hi above: every straddling corner, one step deep into
+    each extreme band (one step's worth with no cut, then lo == hi).  A run
+    at a corner in a..b - w of middle band (a, b, m) in mids repeats under m:
+    over 2m such corners are cut to the first 2m, so a repeating run keeps
+    two copies m apart, and kept c stands for c, c + 2m, ... <= b - w."""
+    if not cuts:
+        return (range(0, lo),)
+    kept, start = [], min(cuts) - w - lo
+    for a, b, m in mids:
+        if b - w - a >= 2 * m:
+            kept.append(range(start, a + 2 * m))
+            start = b - w + 1
+    last = range(start, max(cuts) + hi + 1)
+    return (*kept, last) if last else tuple(kept)
+
+
+def _copies(mids, w: int, c: int) -> int:
+    """Corners that kept corner c of `_corners` stands for: c, c + 2m, ... <= b - w in band (a, b, m), else 1."""
+    return next(((b - w - c) // (2 * m) + 1 for a, b, m in mids if a <= c <= b - w), 1)
 
 
 class _Analysis:
     """Per-presentation scan index: a materialized cell grid, its column codes
     per run height, and the coded window-key sets asked for so far."""
 
-    __slots__ = ("xcuts", "ycuts", "regions", "steps", "k", "keys", "grid", "bounds", "codes")
+    __slots__ = ("xcuts", "ycuts", "regions", "steps", "mids", "k", "keys", "grid", "bounds", "codes")
 
     def __init__(self, g: GridPresentation):
         # the plane's parts, not the plane: no reference cycle, so the index dies with its plane
         self.xcuts, self.ycuts, self.regions = g.xcuts, g.ycuts, g.regions
         self.steps = _band_steps(g)
+        r, xc, yc = g.regions, g.xcuts, g.ycuts  # mids: per axis, (a, b, lcm of its periods) per middle band [a, b)
+        self.mids = ([(xc[j - 1], xc[j], lcm(*[blk.u for blk in r[j]])) for j in range(1, len(xc))],
+                     [(yc[j - 1], yc[j], lcm(*[col[j].v for col in r])) for j in range(1, len(yc))])
         self.k = len(g.alphabet)
         self.keys: dict[tuple[int, int], frozenset] = {}
         self.grid: list[list[int]] = []
         self.bounds: tuple[int, int, int, int] | None = None
         self.codes: list[list[list[int]]] = []  # codes[h - 1][column], for the current grid
 
-    def corner_box(self, w: int, h: int) -> tuple[range, range]:
+    def corner_box(self, w: int, h: int) -> tuple[tuple[range, ...], tuple[range, ...]]:
         """Corner ranges whose w x h windows realize every window content.
 
         A window lying inside an extreme band repeats under that band's step
         (`_band_steps`) along its axis, so corners one step deep into each
         extreme band plus all the straddling corners cover every content
         exactly; with no cuts on an axis one step's worth of corners suffices.
+        A tall middle band keeps two steps of its inside corners (`_corners`).
         The two axes shift independently, so the product box does too.
         """
-        return _corners(self.xcuts, w, *self.steps[:2]), _corners(self.ycuts, h, *self.steps[2:])
+        xm, ym = self.mids
+        return _corners(self.xcuts, w, *self.steps[:2], xm), _corners(self.ycuts, h, *self.steps[2:], ym)
 
     def ensure(self, x0: int, x1: int, y0: int, y1: int) -> None:
         """Grow the materialized grid to cover [x0, x1] x [y0, y1].
@@ -214,14 +267,25 @@ class _Analysis:
             codes.append([memo[id(col)] for col in grid])
         return codes[h - 1]
 
-    def windows(self, w: int, h: int, xs: range, ys: range):
+    def windows(self, w: int, h: int, xs: tuple[range, ...], ys: tuple[range, ...]):
         """Coded keys of the w x h windows with corners xs x ys, x-major in
-        the corners: each key is the tuple of the window's w column codes."""
-        self.ensure(xs[0], xs[-1] + w - 1, ys[0], ys[-1] + h - 1)
+        the corners: each key is the tuple of the window's w column codes.
+        xs and ys are increasing ranges, read as their concatenation."""
+        self.ensure(xs[0][0], xs[-1][-1] + w - 1, ys[0][0], ys[-1][-1] + h - 1)
         bx0, _, by0, _ = self.bounds
-        j0, i0 = ys[0] - by0, xs[0] - bx0
-        cols = [c[j0:j0 + len(ys)] for c in self.column_codes(h)[i0:i0 + len(xs) + w - 1]]
-        return chain.from_iterable(zip(*cols[i:i + w]) for i in range(len(xs)))
+        codes = self.column_codes(h)
+        if len(xs) == len(ys) == 1:  # nothing clipped: one slice per code column
+            (xs,), (ys,) = xs, ys
+            j0, i0 = ys[0] - by0, xs[0] - bx0
+            cols = [c[j0:j0 + len(ys)] for c in codes[i0:i0 + len(xs) + w - 1]]
+            return chain.from_iterable(zip(*cols[i:i + w]) for i in range(len(xs)))
+        get = (itemgetter(slice(ys[0][0] - by0, ys[0][-1] + 1 - by0)) if len(ys) == 1 else  # cut, or gather, rows
+               itemgetter(*chain.from_iterable(range(r[0] - by0, r[-1] + 1 - by0) for r in ys)))
+        cols, starts = [], []  # the kept code columns, cut to the kept rows, and each corner's first column
+        for r in xs:
+            starts += range(len(cols), len(cols) + len(r))
+            cols += map(get, codes[r[0] - bx0:r[-1] + w - bx0])
+        return chain.from_iterable(zip(*cols[i:i + w]) for i in starts)
 
     def rect_keys(self, w: int, h: int) -> frozenset:
         """All distinct w x h window contents as coded keys (see the module docstring)."""
@@ -287,9 +351,10 @@ def _occurrence_scan(g: GridPresentation, w: int, h: int, match) -> tuple[list[V
     occurrence, and its copy one step further out is an occurrence too."""
     a = g._index
     left, right, bottom, top = a.steps
-    xs, ys = a.corner_box(w, h)
+    box = a.corner_box(w, h)
+    xs, ys = (rs[0] if len(rs) == 1 else [*chain.from_iterable(rs)] for rs in box)
     n = len(ys)
-    hits = compress(count(), map(match.__contains__, a.windows(w, h, xs, ys)))
+    hits = compress(count(), map(match.__contains__, a.windows(w, h, *box)))
     positions = [Vec2(xs[t // n], ys[t % n]) for t in hits]
     dirs: set[Vec2] = set()
     for cx, cy in positions:
@@ -308,7 +373,8 @@ def occurrences(g: GridPresentation, p: Pattern):
     """Classify how often p occurs: never, finitely (with exact count), or infinitely.
 
     Every occurrence either straddles a cut on both axes (then it lies in the
-    scan box literally) or sits inside an unbounded band (then band repetition
+    scan box literally, or a kept corner stands for it and its copies down a
+    clipped middle band) or sits inside an unbounded band (then band repetition
     yields infinitely many copies, and a representative lands in the box).
     p occurs wherever its bounding-box window has one of the contents that
     agree with p on p's cells.
@@ -326,7 +392,7 @@ def occurrences(g: GridPresentation, p: Pattern):
     positions, dirs = _occurrence_scan(g, w, h, match)
     if dirs:
         return Infinite()
-    return Finite(len(positions))
+    return Finite(sum(_copies(g._index.mids[0], w, p.x) * _copies(g._index.mids[1], h, p.y) for p in positions))
 
 
 def is_valid(g: GridPresentation, ts: TileSet) -> bool:
@@ -386,7 +452,7 @@ def _agree(a1: _Analysis, a2: _Analysis, xcuts, ycuts, steps, v: Vec2) -> bool:
     with steps (left, right, bottom, top): the cells of the corner range at
     w = 1 on each axis.  Compared column slice by column slice on the
     materialized grids."""
-    xs, ys = _corners(xcuts, 1, *steps[:2]), _corners(ycuts, 1, *steps[2:])
+    (xs,), (ys,) = _corners(xcuts, 1, *steps[:2]), _corners(ycuts, 1, *steps[2:])
     a1.ensure(xs[0], xs[-1], ys[0], ys[-1])
     a2.ensure(xs[0] - v.x, xs[-1] - v.x, ys[0] - v.y, ys[-1] - v.y)
     (b1x, _, b1y, _), (b2x, _, b2y, _) = a1.bounds, a2.bounds
@@ -447,32 +513,8 @@ def _divisors(n: int) -> list[int]:
 
 
 def period_lattice(g: GridPresentation) -> PeriodLattice:
-    """Exact period lattice of the presented plane.
-
-    Any period with a nonzero x-component forces (ux, 0) to be a period: far
-    enough along the period direction every cell sits in an extreme x-band,
-    where the plane repeats with step ux, and the cut structure transports
-    that repetition back everywhere.  So the x-projection of the lattice is
-    nontrivial iff (ux, 0) is a period, and likewise for y; candidate
-    generators then range over divisors of the block lcms.
-    """
-    ux, vy = block_lcms(g)
-    has_h = _is_period(g, Vec2(ux, 0))
-    has_v = _is_period(g, Vec2(0, vy))
-    if has_v:
-        c0 = next(d for d in _divisors(vy) if _is_period(g, Vec2(0, d)))
-    if has_h and not has_v:
-        a0 = next(d for d in _divisors(ux) if _is_period(g, Vec2(d, 0)))
-        return PeriodLattice(1, (Vec2(a0, 0),))
-    if has_v and not has_h:
-        return PeriodLattice(1, (Vec2(0, c0),))
-    if not has_h and not has_v:
-        return PeriodLattice(0, ())
-    for a in _divisors(ux):
-        for b in range(c0):
-            if _is_period(g, Vec2(a, b)):
-                return PeriodLattice(2, (Vec2(a, b), Vec2(0, c0)))
-    raise AssertionError("unreachable: (ux, 0) is a period")
+    """Exact period lattice of the presented plane (`GridPresentation._lattice`)."""
+    return g._lattice
 
 
 @dataclass(frozen=True)
@@ -511,17 +553,15 @@ def type_of(g: GridPresentation):
     # rank 0 forces cuts on both axes
     ux, vy = block_lcms(g)
     xspan, yspan = cut_spans(g)
-    x1, xr = g.xcuts[0], g.xcuts[-1]
-    y1, ys_ = g.ycuts[0], g.ycuts[-1]
     a = g._index
     for w, h in _dims_ascending(3 * xspan + 4 * ux - 2, 3 * yspan + 4 * vy - 2):
-        cxs = range(x1 - w + 1, xr)
-        cys = range(y1 - h + 1, ys_)
+        # step -1: corners from the first cut - w + 1 to the last cut - 1, clipped like the box
+        cxs, cys = _corners(g.xcuts, w, -1, -1, a.mids[0]), _corners(g.ycuts, h, -1, -1, a.mids[1])
         if not cxs or not cys:
             continue
-        # Corners of the scan box outside cxs x cys put the window inside an
-        # unbounded band, where it recurs; so a window occurs exactly once iff
-        # it has a corner in cxs x cys and no other corner in the box.
+        # Corners outside cxs x cys put the window in an unbounded band, where it
+        # recurs, and a window repeating down a clipped band has two kept corners:
+        # it occurs once iff it has a corner in cxs x cys and no other in the box.
         straddling = set(a.windows(w, h, cxs, cys))
         counts = Counter(filter(straddling.__contains__, a.windows(w, h, *a.corner_box(w, h))))
         once = [key for key, n in counts.items() if n == 1]

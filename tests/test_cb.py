@@ -16,17 +16,19 @@ from tilelab.cb import (
     isolating_pattern,
     ranks,
 )
-from tilelab.core import Alphabet, TileSet, Vec2
+from tilelab.core import Alphabet, Pattern, TileSet, Vec2
 from tilelab.order import TilingFamily
 from tilelab.presentation import (
     Block,
     Finite,
     GridPresentation,
+    Infinite,
     _dims_ascending,
     _key_pattern,
     _occurrence_scan,
     occurrences,
     period_lattice,
+    uniform,
 )
 
 PLANES = corpus_planes()
@@ -197,13 +199,42 @@ def test_one_copy_band_occurrence_needs_its_band_step_in_the_lattice():
     assert residue == set()
 
 
+@pytest.mark.parametrize("square", [False, True])
+def test_a_clipped_band_window_pins_only_with_its_band_step(square):
+    """x reads rows a, b, a, b, ... on y in [0, 8) (only for x in [0, 8)
+    with square) and c elsewhere; y is all c.  The cell a is private to x,
+    and x's scan box keeps two of its 4 copies in each column, 2 apart.
+    (0, 2) is no period of x, so a pins nothing: x's least pinning window is
+    larger, and its occurrences lie on one orbit."""
+    al = Alphabet(("a", "b", "c"))
+    free = TileSet.dominoes(al, [(s, t) for s in al.tokens for t in al.tokens], [])
+    ab, c = Block(1, 2, ((0, 1),)), Block.filled(1, 1, 2)
+    x = GridPresentation(al, (0, 8), (0, 8), ((c,) * 3, (c, ab, c), (c,) * 3)) if square else \
+        GridPresentation(al, (), (0, 8), ((c, ab, c),))
+
+    def fn(px, py):
+        inside = 0 <= py < 8 and (not square or 0 <= px < 8)
+        return py % 2 if inside else 2
+
+    f = TilingFamily(free, [("x", x), ("y", uniform(al, 2))], 2)
+    assert occurrences(x, Pattern.from_rows(al, ["a"])) == (Finite(32) if square else Infinite())
+    p = isolating_pattern(f, "x")
+    assert len(p.cells) > 1
+    corners = brute.occurrence_corners(fn, {(v.x, v.y): s for v, s in p.cells.items()}, 16)
+    (bx, by), *rest = corners
+    assert all(brute.is_period(fn, (cx - bx, cy - by), 24) for cx, cy in rest)
+    if square:
+        assert len(corners) == 1
+
+
 # ------------------------------------- isolation decided at the bound
 
-def random_family(rng, cuts, umax, vmax):
+def random_family(rng, cuts, umax, vmax, tall=0):
     """(family, plane fns): 2-4 members over 2-3 states under free
-    horizontal pairs, each with 0-2 x-cuts and 0-1 y-cuts drawn from cuts,
-    every block drawn from one pool of 1-4 blocks up to umax x vmax, so that
-    members share windows.  The fns are read off the raw draws."""
+    horizontal pairs, each with 0-2 x-cuts and 0-1 y-cuts drawn from cuts
+    (with tall, member m0's y-cuts are 0 and tall instead), every block
+    drawn from one pool of 1-4 blocks up to umax x vmax, so that members
+    share windows.  The fns are read off the raw draws."""
     k = rng.randint(2, 3)
     al = Alphabet(tuple(f"s{i}" for i in range(k)))
     free = TileSet.dominoes(al, [(s, t) for s in al.tokens for t in al.tokens], [])
@@ -212,7 +243,7 @@ def random_family(rng, cuts, umax, vmax):
     members, fns = [], {}
     for i in range(rng.randint(2, 4)):
         xcuts = tuple(sorted(rng.sample(cuts, rng.randint(0, 2))))
-        ycuts = tuple(sorted(rng.sample(cuts, rng.randint(0, 1))))
+        ycuts = (0, tall) if tall and not i else tuple(sorted(rng.sample(cuts, rng.randint(0, 1))))
         raw = [[rng.choice(pool) for _ in range(len(ycuts) + 1)] for _ in range(len(xcuts) + 1)]
 
         @cache  # the oracle reads each cell many times
@@ -242,7 +273,7 @@ def bound_window_pins(f, name, key, w, h):
     x = f.presentation(name)
     bw, bh = _search_bounds(f, x)
     (cx, cy), *_ = _occurrence_scan(x, w, h, {key})[0]
-    big = next(iter(x._index.windows(bw, bh, range(cx, cx + 1), range(cy, cy + 1))))
+    big = next(iter(x._index.windows(bw, bh, (range(cx, cx + 1),), (range(cy, cy + 1),))))
     mine = next(cls for cls in f._classes if name in cls)
     if any(big in f.presentation(o)._index.rect_keys(bw, bh) for o in f.names() if o not in mine):
         return False
@@ -303,6 +334,26 @@ def test_ranks_match_oracle_at_library_bounds():
         checked += 1
         deep += report.family_rank >= 2
     assert deep
+
+
+def test_ranks_match_oracle_with_a_tall_band_member():
+    """As above, with member m0 cut at y = 0 and 6, a middle band of step
+    m <= 2 that scans of windows up to 6 - 2m high clip: bounds are at most
+    (8, 10), so window contents have copies within [-12, 17], and reach 22
+    sees an infinite occurrence family grow."""
+    rng = random.Random(2020)
+    checked = 0
+    while checked < 3:
+        f, fns = random_family(rng, range(-2, 3), 2, 2, tall=6)
+        if len(f._classes) < len(f.names()):
+            continue
+        bounds = {n: _search_bounds(f, f.presentation(n)) for n in f.names()}
+        assert max(w for w, _ in bounds.values()) <= 8 and max(h for _, h in bounds.values()) <= 10
+        table, residue = brute.brute_ranks(fns, bounds, 18, 22)
+        report = ranks(f)
+        assert report.ranks == table
+        assert set(report.residue) == residue
+        checked += 1
 
 
 # ------------------------------------- one period lattice per isolating_pattern call

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from oracle import brute
-from conftest import CORPUS, corpus_planes, live_indexes
+from conftest import CORPUS, corpus_planes, live_indexes, make_a
 from tilelab.cli import parse_presentation
 from tilelab.core import Alphabet, Pattern, TileSet, Vec2
 from tilelab.order import preceq
@@ -19,6 +19,7 @@ from tilelab.presentation import (
     TypeA,
     TypeB,
     Zero,
+    _Analysis,
     _band_steps,
     _dims_ascending,
     block_lcms,
@@ -579,7 +580,7 @@ def test_periods_to_eleven_plane_scans_a_per_band_box():
     assert block_lcms(g) == Vec2(3465, 5544)
     assert _band_steps(g) == (77, 45, 77, 72)
     for w, h in ((1, 1), (2, 3), (5, 4)):
-        xs, ys = g._index.corner_box(w, h)
+        (xs,), (ys,) = g._index.corner_box(w, h)  # no middle band: one range per axis
         assert (len(xs), len(ys)) == (w + 123, h + 150)
     free = TileSet.dominoes(al, [(x, y) for x in al.tokens for y in al.tokens], [])
     assert is_valid(g, free)
@@ -587,3 +588,122 @@ def test_periods_to_eleven_plane_scans_a_per_band_box():
     t = type_of(g)
     assert isinstance(t, TypeB)
     assert t.witness == Pattern.from_rows(al, ["a c", "c c", "b b"])
+
+
+# ------------------------------------- clipped middle bands against the oracle
+
+def tall_plane(rng):
+    """(presentation, plane fn): 2-3 states, 2-3 cuts per axis spaced 8-30
+    apart from [-30, -26] on, block periods 1-4, redrawn until each axis has
+    a middle band at least twice its step + 4 long, so scans of windows up
+    to 4 long clip it on both axes.  The fn is read off the raw draws."""
+    while True:
+        k = rng.randint(2, 3)
+        xcuts, ycuts = ([-30 + rng.randint(0, 4)] for _ in range(2))
+        for cuts in (xcuts, ycuts):
+            for _ in range(rng.randint(1, 2)):
+                cuts.append(cuts[-1] + rng.randint(8, 30))
+        raw = [[tuple(tuple(rng.randrange(k) for _ in range(v)) for _ in range(u))
+                for u, v in ((rng.randint(1, 4), rng.randint(1, 4)) for _ in range(len(ycuts) + 1))]
+               for _ in range(len(xcuts) + 1)]
+        regions = tuple(tuple(Block(len(d), len(d[0]), d) for d in col) for col in raw)
+        al = Alphabet(tuple(f"s{i}" for i in range(k)))
+        g = GridPresentation(al, tuple(xcuts), tuple(ycuts), regions)
+        if all(any(b - a >= 2 * m + 4 for a, b, m in bands) for bands in g._index.mids):
+            break
+
+    def fn(x, y):
+        data = raw[sum(c <= x for c in xcuts)][sum(c <= y for c in ycuts)]
+        return data[x % len(data)][y % len(data[0])]
+
+    return g, fn
+
+
+# Cuts lie in [-30, 34], steps are at most 12 and windows at most 4 long,
+# so every window content has a copy within [-46, 48], inside TALL_NEAR;
+# finite occurrences lie within [-33, 36], and an infinite family has
+# another copy within TALL_FAR, 13 further out.
+TALL_NEAR, TALL_FAR = 48, 61
+TALL_SEEDS = range(8)
+
+
+@pytest.mark.parametrize("seed", TALL_SEEDS)
+def test_tall_band_window_keys_and_validity_match_oracle(seed):
+    rng = random.Random(f"tall/{seed}")
+    g, fn = tall_plane(rng)
+    grid = brute.box_grid(fn, TALL_NEAR)
+    for w in range(1, 5):
+        for h in range(1, 5):
+            assert rect_window_keys(g, w, h) == brute.window_keys(grid, w, h), (w, h)
+    for offsets in SPARSE_SHAPES:
+        seen = sorted({tuple(grid[x + dx][y + dy] for dx, dy in offsets)
+                       for x in range(len(grid) - 2) for y in range(len(grid) - 2)})
+        for drop in (None, rng.choice(seen)):
+            allowed = frozenset(seen) - {drop}
+            ts = TileSet.from_allowed(g.alphabet, [Pattern(g.alphabet, dict(zip(offsets, combo))) for combo in allowed])
+            assert is_valid(g, ts) == brute.grid_ok([(offsets, allowed)], grid), (offsets, drop)
+
+
+def test_tall_band_occurrences_and_type_match_oracle():
+    """Patterns cut from inside two middle bands, across cuts and at random,
+    some with holes; a pattern that fits inside a clipped band occurs there
+    once per band step, so some exact counts exceed 1."""
+    counts = []
+    for seed in TALL_SEEDS:
+        rng = random.Random(f"tall/{seed}")
+        g, fn = tall_plane(rng)
+        grid = brute.box_grid(fn, TALL_FAR)
+
+        def cell(x, y):
+            return grid[x + TALL_FAR][y + TALL_FAR]
+
+        xbands, ybands = g._index.mids
+        for n in range(8):
+            w, h = rng.randint(1, 4), rng.randint(1, 4)
+            if n < 4:  # inside a middle band on each axis
+                a, b, _ = rng.choice([band for band in xbands if band[1] - band[0] >= w])
+                c, d, _ = rng.choice([band for band in ybands if band[1] - band[0] >= h])
+                cx, cy = rng.randint(a, b - w), rng.randint(c, d - h)
+            else:
+                cx, cy = rng.randint(-35, 35), rng.randint(-35, 35)
+            cells = {(dx, dy): cell(cx + dx, cy + dy) for dx in range(w) for dy in range(h)}
+            if n % 2:
+                kept = rng.sample(sorted(cells), rng.randint(1, len(cells)))
+                mx, my = min(x for x, _ in kept), min(y for _, y in kept)
+                cells = {(x - mx, y - my): cells[x, y] for x, y in kept}
+            got = occurrences(g, Pattern(g.alphabet, cells))
+            assert got == oracle_occurrences(cell, cells, TALL_NEAR, TALL_FAR), (seed, cells)
+            if isinstance(got, Finite):
+                counts.append(got.count)
+        t = type_of(g)
+        assert isinstance(t, TypeB) == (period_lattice(g).rank == 0)
+        if isinstance(t, TypeB):
+            witness = {(c.x, c.y): s for c, s in t.witness.cells.items()}
+            assert oracle_occurrences(cell, witness, TALL_NEAR, TALL_FAR) == Finite(1), seed
+    assert max(counts) > 1
+
+
+def test_tall_band_scans_read_as_many_windows_at_any_height(stripes, monkeypatch):
+    """a_i's white band is clipped to one step of inside corners, so its
+    (2, 1) and (1, 2) key scans and its type_of read as many windows at
+    i = 50 as at i = 5000."""
+    real, read = _Analysis.windows, []
+
+    def counted(self, *args):
+        keys = list(real(self, *args))
+        read.append(len(keys))
+        return iter(keys)
+
+    monkeypatch.setattr(_Analysis, "windows", counted)
+
+    def reads(i):
+        g = make_a(stripes.alphabet, i)
+        read.clear()
+        rect_window_keys(g, 2, 1)
+        rect_window_keys(g, 1, 2)
+        scans = sum(read)
+        read.clear()
+        assert isinstance(type_of(g), TypeB)
+        return scans, sum(read)
+
+    assert reads(50) == reads(5000)
