@@ -200,9 +200,14 @@ class _Analysis:
         # the plane's parts, not the plane: no reference cycle, so the index dies with its plane
         self.xcuts, self.ycuts, self.regions = g.xcuts, g.ycuts, g.regions
         self.steps = _band_steps(g)
-        r, xc, yc = g.regions, g.xcuts, g.ycuts  # mids: per axis, (a, b, lcm of its periods) per middle band [a, b)
-        self.mids = ([(xc[j - 1], xc[j], lcm(*[blk.u for blk in r[j]])) for j in range(1, len(xc))],
-                     [(yc[j - 1], yc[j], lcm(*[col[j].v for col in r])) for j in range(1, len(yc))])
+        # per axis, (a, b, m) for each middle band [a, b) of step m (its periods' lcm) that can clip: b - a > 2m
+        r, xc, yc, self.mids = g.regions, g.xcuts, g.ycuts, ([], [])
+        for j in range(1, len(xc)):
+            if xc[j] - xc[j - 1] > 2 * (m := lcm(*[blk.u for blk in r[j]])):
+                self.mids[0].append((xc[j - 1], xc[j], m))
+        for j in range(1, len(yc)):
+            if yc[j] - yc[j - 1] > 2 * (m := lcm(*[col[j].v for col in r])):
+                self.mids[1].append((yc[j - 1], yc[j], m))
         self.k = len(g.alphabet)
         self.keys: dict[tuple[int, int], frozenset] = {}
         self.grid: list[list[int]] = []
@@ -268,19 +273,13 @@ class _Analysis:
         return codes[h - 1]
 
     def windows(self, w: int, h: int, xs: tuple[range, ...], ys: tuple[range, ...]):
-        """Coded keys of the w x h windows with corners xs x ys, x-major in
-        the corners: each key is the tuple of the window's w column codes.
-        xs and ys are increasing ranges, read as their concatenation."""
+        """Coded keys of the w x h windows with corners xs x ys (tuples of increasing ranges,
+        read concatenated), x-major: each key is the tuple of the window's w column codes."""
         self.ensure(xs[0][0], xs[-1][-1] + w - 1, ys[0][0], ys[-1][-1] + h - 1)
         bx0, _, by0, _ = self.bounds
         codes = self.column_codes(h)
-        if len(xs) == len(ys) == 1:  # nothing clipped: one slice per code column
-            (xs,), (ys,) = xs, ys
-            j0, i0 = ys[0] - by0, xs[0] - bx0
-            cols = [c[j0:j0 + len(ys)] for c in codes[i0:i0 + len(xs) + w - 1]]
-            return chain.from_iterable(zip(*cols[i:i + w]) for i in range(len(xs)))
         get = (itemgetter(slice(ys[0][0] - by0, ys[0][-1] + 1 - by0)) if len(ys) == 1 else  # cut, or gather, rows
-               itemgetter(*chain.from_iterable(range(r[0] - by0, r[-1] + 1 - by0) for r in ys)))
+               itemgetter(*[y - by0 for r in ys for y in r]))
         cols, starts = [], []  # the kept code columns, cut to the kept rows, and each corner's first column
         for r in xs:
             starts += range(len(cols), len(cols) + len(r))
@@ -352,7 +351,7 @@ def _occurrence_scan(g: GridPresentation, w: int, h: int, match) -> tuple[list[V
     a = g._index
     left, right, bottom, top = a.steps
     box = a.corner_box(w, h)
-    xs, ys = (rs[0] if len(rs) == 1 else [*chain.from_iterable(rs)] for rs in box)
+    xs, ys = ([*chain.from_iterable(rs)] for rs in box)
     n = len(ys)
     hits = compress(count(), map(match.__contains__, a.windows(w, h, *box)))
     positions = [Vec2(xs[t // n], ys[t % n]) for t in hits]
@@ -392,7 +391,8 @@ def occurrences(g: GridPresentation, p: Pattern):
     positions, dirs = _occurrence_scan(g, w, h, match)
     if dirs:
         return Infinite()
-    return Finite(sum(_copies(g._index.mids[0], w, p.x) * _copies(g._index.mids[1], h, p.y) for p in positions))
+    mx, my = g._index.mids
+    return Finite(sum(_copies(mx, w, c.x) * _copies(my, h, c.y) for c in positions))
 
 
 def is_valid(g: GridPresentation, ts: TileSet) -> bool:
