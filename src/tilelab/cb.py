@@ -33,13 +33,10 @@ def _search_bounds(f: TilingFamily, g: GridPresentation) -> tuple[int, int]:
     return max(f.window, m.x), max(f.window, m.y)
 
 
-def _pinning_key(f: TilingFamily, name: str, w: int, h: int, lattices: dict | None = None) -> tuple[int, ...] | None:
+def _pinning_key(f: TilingFamily, name: str, w: int, h: int) -> tuple[int, ...] | None:
     """Least coded w x h window of name's plane in no other class whose
-    occurrences in the plane form one period-lattice orbit, else None.
-    lattices maps name to its period lattice once computed; a sweep passes
-    one map to every size."""
+    occurrences in the plane form one period-lattice orbit, else None."""
     x = f.presentation(name)
-    lattices = {} if lattices is None else lattices
     mine = next(cls for cls in equivalence_classes(f) if name in cls)
     cands = set(x._index.rect_keys(w, h))
     for y in (f.presentation(o)._index for o in f.names() if o not in mine):
@@ -51,31 +48,29 @@ def _pinning_key(f: TilingFamily, name: str, w: int, h: int, lattices: dict | No
         positions, dirs = _occurrence_scan(x, w, h, {key})
         if len(positions) == 1 and not dirs:
             return key
-        lat = lattices[name] if name in lattices else lattices.setdefault(name, period_lattice(x))
+        lat = period_lattice(x)
         base = positions[0]
         if all(lat.contains(pos - base) for pos in positions[1:]) and all(lat.contains(d) for d in dirs):
             return key
     return None
 
 
-def _isolated(f: TilingFamily, name: str, lattices: dict | None = None) -> bool:
+def _isolated(f: TilingFamily, name: str) -> bool:
     """Whether some window within the search bounds pins name, decided at the
     bounds alone.  If a smaller window P pins name, so does the bound-size
     window Q at one of P's occurrence corners: Q is private because P is, and
     Q's occurrences are among P's, which form one orbit."""
-    return _pinning_key(f, name, *_search_bounds(f, f.presentation(name)), lattices) is not None
+    return _pinning_key(f, name, *_search_bounds(f, f.presentation(name))) is not None
 
 
 def isolating_pattern(f: TilingFamily, name: str) -> Pattern | None:
     """Smallest pattern private to name's class whose occurrences in name's
     own plane form one period-lattice orbit; None when no such pattern exists
-    within the search bounds.  Sizes are swept only once `_isolated` holds,
-    and the test and the sweep share one lattice."""
-    lattices: dict = {}
-    if not _isolated(f, name, lattices):
+    within the search bounds.  Sizes are swept only once `_isolated` holds."""
+    if not _isolated(f, name):
         return None
     for w, h in _dims_ascending(*_search_bounds(f, f.presentation(name))):
-        key = _pinning_key(f, name, w, h, lattices)
+        key = _pinning_key(f, name, w, h)
         if key is not None:
             return _key_pattern(f.tileset.alphabet, key, h)
 

@@ -10,16 +10,20 @@ functions that rely on them.  A window inside a middle band repeats under the
 band's own step, so a tall middle band keeps two steps of inside corners in
 every scan box (`_corners`); `occurrences` counts what they stand for.
 
-Every scan reads its plane's index (`_Analysis`, the plane's `_index`): a
-cell grid filled block by block, and per run height h its column codes, the
-h cells above a grid cell read as one base-k number (k the alphabet size,
-the lowest cell the most significant digit).  A code is an exact integer,
-not a hash, and distinct runs of one height get distinct codes, so the tuple
-of a w x h window's w column codes names its content exactly.  Codes of
-equal length order like their digit strings, so coded keys sort exactly as
-the x-major state tuples they stand for: a search that takes the least
-candidate picks the same window either way, and only the window returned is
-decoded.
+Every scan reads its plane's index (`_Analysis`, the plane's `_index`).  A
+column of the plane depends only on its class, its x-band and x modulo that
+band's step, so for a run height h and the row ranges a scan box keeps, the
+index codes one column per class: at each kept row, the h cells from it
+upward read as one base-k number (k the alphabet size, the lowest cell the
+most significant digit), rolled from the code one row below by dropping its
+top digit and shifting in one cell.  Rows outside the kept ranges are never
+filled, and a larger box adds columns without rebuilding any.  A code is an
+exact integer, not a hash, and distinct runs of one height get distinct
+codes, so the tuple of a w x h window's w column codes names its content
+exactly.  Codes of equal length order like their digit strings, so coded
+keys sort exactly as the x-major state tuples they stand for: a search that
+takes the least candidate picks the same window either way, and only the
+window returned is decoded.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count
 from math import isqrt, lcm
-from operator import itemgetter
 
 from .core import Alphabet, Pattern, TileSet, Vec2, _as_vec
 
@@ -152,20 +155,6 @@ def _settled_size(g: GridPresentation) -> Vec2:
     return Vec2(*(s + 2 * l for s, l in zip(cut_spans(g), block_lcms(g))))
 
 
-def _band_steps(g: GridPresentation) -> tuple[int, int, int, int]:
-    """(left, right, bottom, top): per side, the lcm of the block periods
-    along that axis of the extreme band on that side.
-
-    A window wholly inside an extreme band is invariant under that band's
-    step on that axis, whatever bands it crosses on the other axis: every
-    block it reads lies in that band, has its period on the axis dividing
-    the step, and is anchored at the origin.  With no cut on an axis both
-    sides are the one band, so left == right (or bottom == top)."""
-    r = g.regions
-    return (lcm(*[b.u for b in r[0]]), lcm(*[b.u for b in r[-1]]),
-            lcm(*[col[0].v for col in r]), lcm(*[col[-1].v for col in r]))
-
-
 def _corners(cuts: tuple[int, ...], w: int, lo: int, hi: int, mids=()) -> tuple[range, ...]:
     """Nonempty increasing corner ranges on one axis whose length-w runs
     realize every run content of a plane cut at cuts that repeats with step
@@ -191,99 +180,81 @@ def _copies(mids, w: int, c: int) -> int:
 
 
 class _Analysis:
-    """Per-presentation scan index: a materialized cell grid, its column codes
-    per run height, and the coded window-key sets asked for so far."""
+    """Per-presentation scan index: each band's step, the code columns of the
+    column classes asked for, per run height and kept row ranges, and the
+    coded window-key sets asked for so far."""
 
-    __slots__ = ("xcuts", "ycuts", "regions", "steps", "mids", "k", "keys", "grid", "bounds", "codes")
+    __slots__ = ("xcuts", "ycuts", "regions", "xsteps", "steps", "mids", "k", "keys", "codes")
 
     def __init__(self, g: GridPresentation):
         # the plane's parts, not the plane: no reference cycle, so the index dies with its plane
         self.xcuts, self.ycuts, self.regions = g.xcuts, g.ycuts, g.regions
-        self.steps = _band_steps(g)
-        # per axis, (a, b, m) for each middle band [a, b) of step m (its periods' lcm) that can clip: b - a > 2m
-        r, xc, yc, self.mids = g.regions, g.xcuts, g.ycuts, ([], [])
-        for j in range(1, len(xc)):
-            if xc[j] - xc[j - 1] > 2 * (m := lcm(*[blk.u for blk in r[j]])):
-                self.mids[0].append((xc[j - 1], xc[j], m))
-        for j in range(1, len(yc)):
-            if yc[j] - yc[j - 1] > 2 * (m := lcm(*[col[j].v for col in r])):
-                self.mids[1].append((yc[j - 1], yc[j], m))
+        # per axis, each band's step: the lcm of its blocks' periods along that axis;
+        # steps is (left, right, bottom, top), the steps of the extreme bands
+        self.xsteps = [lcm(*[b.u for b in col]) for col in g.regions]
+        ysteps = [lcm(*[b.v for b in row]) for row in zip(*g.regions)]
+        self.steps = (self.xsteps[0], self.xsteps[-1], ysteps[0], ysteps[-1])
+        # per axis, (a, b, m) for each middle band [a, b) of step m that can clip: b - a > 2m
+        self.mids = tuple([(a, b, m) for a, b, m in zip(cuts, cuts[1:], steps[1:-1]) if b - a > 2 * m]
+                          for cuts, steps in ((g.xcuts, self.xsteps), (g.ycuts, ysteps)))
         self.k = len(g.alphabet)
         self.keys: dict[tuple[int, int], frozenset] = {}
-        self.grid: list[list[int]] = []
-        self.bounds: tuple[int, int, int, int] | None = None
-        self.codes: list[list[list[int]]] = []  # codes[h - 1][column], for the current grid
+        self.codes: dict[tuple, dict[tuple[int, int], list[int]]] = {}  # (h, ys) -> (x-band, x mod step) -> codes
 
     def corner_box(self, w: int, h: int) -> tuple[tuple[range, ...], tuple[range, ...]]:
         """Corner ranges whose w x h windows realize every window content.
 
         A window lying inside an extreme band repeats under that band's step
-        (`_band_steps`) along its axis, so corners one step deep into each
-        extreme band plus all the straddling corners cover every content
-        exactly; with no cuts on an axis one step's worth of corners suffices.
+        along its axis, whatever bands it crosses on the other axis: every
+        block it reads lies in that band, has its period on the axis dividing
+        the step, and is anchored at the origin.  So corners one step deep
+        into each extreme band plus all the straddling corners cover every
+        content exactly; with no cuts on an axis one step's worth suffices.
         A tall middle band keeps two steps of its inside corners (`_corners`).
         The two axes shift independently, so the product box does too.
         """
         xm, ym = self.mids
         return _corners(self.xcuts, w, *self.steps[:2], xm), _corners(self.ycuts, h, *self.steps[2:], ym)
 
-    def ensure(self, x0: int, x1: int, y0: int, y1: int) -> None:
-        """Grow the materialized grid to cover [x0, x1] x [y0, y1].
+    def column(self, x: int, y0: int, y1: int) -> list[int]:
+        """The cells of column x from row y0 to row y1, filled y-band by y-band from the blocks' own columns."""
+        blocks, ycuts = self.regions[bisect_right(self.xcuts, x)], self.ycuts
+        edges = [y0, *(c for c in ycuts if y0 < c <= y1), y1 + 1]
+        col: list[int] = []
+        for lo, hi in zip(edges, edges[1:]):
+            b = blocks[bisect_right(ycuts, lo)]
+            s, n = lo % b.v, hi - lo
+            col += (b.data[x % b.u] * ((s + n) // b.v + 1))[s:s + n]
+        return col
 
-        Columns are filled band by band from the blocks' own columns; within
-        an x-band, columns that agree modulo the band's lcm are one shared
-        list (grid columns are never mutated)."""
-        if self.bounds is not None:
-            bx0, bx1, by0, by1 = self.bounds
-            if bx0 <= x0 and x1 <= bx1 and by0 <= y0 and y1 <= by1:
-                return
-            x0, x1, y0, y1 = min(x0, bx0), max(x1, bx1), min(y0, by0), max(y1, by1)
-        xcuts, ycuts = self.xcuts, self.ycuts
-        xedges = [x0, *(c for c in xcuts if x0 < c <= x1), x1 + 1]
-        yedges = [y0, *(c for c in ycuts if y0 < c <= y1), y1 + 1]
-        grid: list[list[int]] = []
-        for xlo, xhi in zip(xedges, xedges[1:]):
-            blocks = self.regions[bisect_right(xcuts, xlo)]
-            u = lcm(*(b.u for b in blocks))
-            shared: dict[int, list[int]] = {}
-            for x in range(xlo, xhi):
-                col = shared.get(x % u)
-                if col is None:
-                    col = shared[x % u] = []
-                    for lo, hi in zip(yedges, yedges[1:]):
-                        b = blocks[bisect_right(ycuts, lo)]
-                        s, n = lo % b.v, hi - lo
-                        col += (b.data[x % b.u] * ((s + n) // b.v + 1))[s:s + n]
-                grid.append(col)
-        self.grid, self.bounds, self.codes = grid, (x0, x1, y0, y1), []
-
-    def column_codes(self, h: int) -> list[list[int]]:
-        """codes[i][j]: the h cells from grid[i][j] upward as one base-k
-        number, the lowest cell its most significant digit; built from the
-        height h - 1 codes as code * k + next cell."""
-        codes, grid, k = self.codes, self.grid, self.k
-        if not codes:
-            codes.append(grid)
-        while len(codes) < h:
-            t, memo = len(codes), {}
-            for prev, col in zip(codes[-1], grid):
-                if id(col) not in memo:
-                    memo[id(col)] = [c * k + s for c, s in zip(prev, col[t:])]
-            codes.append([memo[id(col)] for col in grid])
-        return codes[h - 1]
+    def _codes(self, x: int, h: int, ys: tuple[range, ...]) -> list[int]:
+        """Column x's height-h codes at the rows of ys, each rolled from the
+        one below it: drop the top digit, shift in the next cell."""
+        k, top, codes = self.k, self.k ** (h - 1), []
+        for r in ys:
+            cells, code = self.column(x, r[0], r[-1] + h - 1), 0
+            for s in cells[:h - 1]:
+                code = code * k + s
+            for s0, s1 in zip(cells, cells[h - 1:]):
+                code = code * k + s1
+                codes.append(code)
+                code -= s0 * top
+        return codes
 
     def windows(self, w: int, h: int, xs: tuple[range, ...], ys: tuple[range, ...]):
         """Coded keys of the w x h windows with corners xs x ys (tuples of increasing ranges,
-        read concatenated), x-major: each key is the tuple of the window's w column codes."""
-        self.ensure(xs[0][0], xs[-1][-1] + w - 1, ys[0][0], ys[-1][-1] + h - 1)
-        bx0, _, by0, _ = self.bounds
-        codes = self.column_codes(h)
-        get = (itemgetter(slice(ys[0][0] - by0, ys[0][-1] + 1 - by0)) if len(ys) == 1 else  # cut, or gather, rows
-               itemgetter(*[y - by0 for r in ys for y in r]))
-        cols, starts = [], []  # the kept code columns, cut to the kept rows, and each corner's first column
+        read concatenated), x-major: each key is the tuple of the window's w column codes.
+        A class's code column covers the rows of ys only and is built once per (h, ys)."""
+        cache, xcuts, xsteps = self.codes.setdefault((h, ys), {}), self.xcuts, self.xsteps
+        cols, starts = [], []  # the code column of each kept column's class, and each corner's first column
         for r in xs:
             starts += range(len(cols), len(cols) + len(r))
-            cols += map(get, codes[r[0] - bx0:r[-1] + w - bx0])
+            for x in range(r[0], r[-1] + w):
+                j = bisect_right(xcuts, x)
+                col = cache.get(c := (j, x % xsteps[j]))
+                if col is None:
+                    col = cache[c] = self._codes(x, h, ys)
+                cols.append(col)
         return chain.from_iterable(zip(*cols[i:i + w]) for i in starts)
 
     def rect_keys(self, w: int, h: int) -> frozenset:
@@ -450,15 +421,10 @@ def _agree(a1: _Analysis, a2: _Analysis, xcuts, ycuts, steps, v: Vec2) -> bool:
     """Whether a1's plane at p equals a2's plane at p - v for every p in the
     comparison box of planes cut at xcuts and ycuts that repeat outside them
     with steps (left, right, bottom, top): the cells of the corner range at
-    w = 1 on each axis.  Compared column slice by column slice on the
-    materialized grids."""
+    w = 1 on each axis, compared column by column."""
     (xs,), (ys,) = _corners(xcuts, 1, *steps[:2]), _corners(ycuts, 1, *steps[2:])
-    a1.ensure(xs[0], xs[-1], ys[0], ys[-1])
-    a2.ensure(xs[0] - v.x, xs[-1] - v.x, ys[0] - v.y, ys[-1] - v.y)
-    (b1x, _, b1y, _), (b2x, _, b2y, _) = a1.bounds, a2.bounds
-    j1, j2, n = ys[0] - b1y, ys[0] - v.y - b2y, len(ys)
-    g1, g2 = a1.grid, a2.grid
-    return all(g1[x - b1x][j1:j1 + n] == g2[x - v.x - b2x][j2:j2 + n] for x in xs)
+    y0, y1 = ys[0], ys[-1]
+    return all(a1.column(x, y0, y1) == a2.column(x - v.x, y0 - v.y, y1 - v.y) for x in xs)
 
 
 def equal(g1: GridPresentation, g2: GridPresentation) -> bool:
@@ -477,7 +443,7 @@ def equal(g1: GridPresentation, g2: GridPresentation) -> bool:
 
 
 def _is_period(g: GridPresentation, v: Vec2) -> bool:
-    """equal(g, shift(g, v)), read off g's own grid: the shifted plane has
+    """equal(g, shift(g, v)), read off g's own columns: the shifted plane has
     the same band steps and its cuts moved by v."""
     a = g._index
     xcuts, ycuts = g.xcuts + tuple(c + v.x for c in g.xcuts), g.ycuts + tuple(c + v.y for c in g.ycuts)

@@ -1,6 +1,7 @@
+import copy
 import random
 from bisect import bisect_right
-from functools import cache
+from functools import cache, cached_property
 
 import pytest
 
@@ -371,24 +372,24 @@ def short_bound_family(window):
 
 
 def test_isolating_pattern_computes_one_period_lattice(family6, monkeypatch):
-    """The bound test and the size sweep of one call share one lattice, and
-    the witnesses are the per-size sweep's."""
-    import tilelab.cb
-
+    """One lattice search per plane: every bound test and size sweep, in a
+    family and in its derivative, reads the plane's own lattice, and the
+    witnesses are the per-size sweep's.  The calls run on copies, which
+    carry no lattice, so each search is counted."""
     families = [family6, derivative(family6)] + [short_bound_family(w) for w in range(2, 7)]
     expected = []
     for f in families:
         for name in f.names():
             swept = swept_witness(f, name)
             witness = swept and _key_pattern(f.tileset.alphabet, swept[0], swept[2])
-            expected.append((f, name, witness))
-    real, calls = tilelab.cb.period_lattice, []
-    monkeypatch.setattr(tilelab.cb, "period_lattice", lambda g: calls.append(g) or real(g))
-    needed = 0
-    for f, name, witness in expected:
-        calls.clear()
-        assert isolating_pattern(f, name) == witness, name
-        assert len(calls) <= 1, (f.window, name, len(calls))
-        needed += len(calls)
-    assert needed >= 10
-    assert sum(w is not None for _, _, w in expected) >= 20
+            expected.append((name, witness))
+    real, searched = GridPresentation._lattice, []
+    counted = cached_property(lambda g: searched.append(g) or real.func(g))
+    counted.__set_name__(GridPresentation, "_lattice")
+    monkeypatch.setattr(GridPresentation, "_lattice", counted)
+    fresh = TilingFamily(family6.tileset, [(n, copy.copy(family6.presentation(n))) for n in family6.names()], 6)
+    copies = [fresh, derivative(fresh)] + [short_bound_family(w) for w in range(2, 7)]
+    got = [(name, isolating_pattern(f, name)) for f in copies for name in f.names()]
+    assert got == expected
+    assert len({id(g) for g in searched}) == len(searched) >= 10
+    assert sum(w is not None for _, w in expected) >= 20

@@ -2,6 +2,7 @@ import copy
 import gc
 import pickle
 import random
+from itertools import chain
 
 import pytest
 
@@ -20,7 +21,8 @@ from tilelab.presentation import (
     TypeB,
     Zero,
     _Analysis,
-    _band_steps,
+    _corners,
+    _decode,
     _dims_ascending,
     block_lcms,
     cell_at,
@@ -477,7 +479,7 @@ def banded_plane(rng):
         regions = tuple(tuple(Block(len(d), len(d[0]), d) for d in col) for col in raw)
         al = Alphabet(tuple(f"s{i}" for i in range(k)))
         g = GridPresentation(al, tuple(xcuts), tuple(ycuts), regions)
-        left, right, bottom, top = _band_steps(g)
+        left, right, bottom, top = g._index.steps
         ux, vy = block_lcms(g)
         if min(left, right) < ux or min(bottom, top) < vy:
             break
@@ -578,7 +580,7 @@ def test_periods_to_eleven_plane_scans_a_per_band_box():
                           for u, v in periods)
     g = GridPresentation(al, (0,), (0,), ((b00, b01), (b10, b11)))
     assert block_lcms(g) == Vec2(3465, 5544)
-    assert _band_steps(g) == (77, 45, 77, 72)
+    assert g._index.steps == (77, 45, 77, 72)
     for w, h in ((1, 1), (2, 3), (5, 4)):
         (xs,), (ys,) = g._index.corner_box(w, h)  # no middle band: one range per axis
         assert (len(xs), len(ys)) == (w + 123, h + 150)
@@ -707,3 +709,44 @@ def test_tall_band_scans_read_as_many_windows_at_any_height(stripes, monkeypatch
         return scans, sum(read)
 
     assert reads(50) == reads(5000)
+
+
+def test_tall_band_index_holds_as_many_codes_at_any_height(stripes):
+    """a_i's index codes only the rows its scan boxes keep, so after the same
+    key scans and type_of it holds as many code entries at i = 50 as at i = 5000."""
+
+    def held(i):
+        g = make_a(stripes.alphabet, i)
+        rect_window_keys(g, 2, 1)
+        rect_window_keys(g, 1, 2)
+        assert isinstance(type_of(g), TypeB)
+        return sum(len(col) for cols in g._index.codes.values() for col in cols.values())
+
+    assert held(50) == held(5000)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_windows_at_any_corner_ranges_match_oracle(seed):
+    """One index per plane serves, at each (w, h) in turn, the scan box,
+    type_of's straddling ranges (step -1) and single corners; each read,
+    decoded, lists the oracle grid's windows at those corners in order.  A
+    code cache keyed without its rows would answer a later read with an
+    earlier read's rows."""
+    rng = random.Random(f"windows/{seed}")
+    reach = 50  # cuts lie in [-30, 34], steps are at most 12 and windows at most 4 long
+    for g, fn in (banded_plane(rng), tall_plane(rng)):
+        grid, a, k = brute.box_grid(fn, reach), g._index, len(g.alphabet)
+        for w in range(1, 5):
+            for h in range(1, 5):
+                reads = [a.corner_box(w, h)]
+                if g.xcuts and g.ycuts:  # as in type_of, which runs only with cuts on both axes
+                    reads.append((_corners(g.xcuts, w, -1, -1, a.mids[0]), _corners(g.ycuts, h, -1, -1, a.mids[1])))
+                for _ in range(3):
+                    x, y = rng.randint(-45, 45), rng.randint(-45, 45)
+                    reads.append(((range(x, x + 1),), (range(y, y + 1),)))
+                for xs, ys in reads:
+                    if not xs or not ys:  # no straddling corner on an axis
+                        continue
+                    got = [_decode(key, h, k) for key in a.windows(w, h, xs, ys)]
+                    assert got == [tuple(grid[x + dx + reach][y + dy + reach] for dx in range(w) for dy in range(h))
+                                   for x in chain(*xs) for y in chain(*ys)], (seed, w, h, xs, ys)
