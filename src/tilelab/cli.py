@@ -35,7 +35,8 @@ class ParseError(ValueError):
 
 
 def _content_lines(path) -> list[tuple[int, list[str]]]:
-    data = Path(path).read_bytes()
+    with open(path, "rb", buffering=0) as f:  # one read: no buffer to set up
+        data = f.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:  # the line of the first bad byte, as splitlines counts lines
@@ -48,18 +49,19 @@ def _content_lines(path) -> list[tuple[int, list[str]]]:
     return out
 
 
-def _token_state(path, no, alphabet: Alphabet, tok: str) -> int:
+def _states(path, no, alphabet: Alphabet, toks: list[str]) -> list[int]:
+    """The states of toks, in order; fails on the first token outside the alphabet."""
     try:
-        return alphabet.index[tok]
-    except KeyError:
-        raise ParseError(path, no, f"token {tok!r} not in alphabet") from None
+        return [alphabet.index[t] for t in toks]
+    except KeyError as e:
+        raise ParseError(path, no, f"token {e.args[0]!r} not in alphabet") from None
 
 
 def parse_tileset(path) -> TileSet:
     rest = iter(_content_lines(path))
     alphabet: Alphabet | None = None
     mode: str | None = None
-    raw_patterns: list[dict[Vec2, int]] = []
+    patterns: list[Pattern] = []  # every cell checked here, so built unchecked
     for no, toks in rest:
         head, args = toks[0], toks[1:]
         if head == "alphabet":
@@ -80,7 +82,7 @@ def parse_tileset(path) -> TileSet:
                 raise ParseError(path, no, "alphabet must come first")
             if len(args) != 2:
                 raise ParseError(path, no, f"{head} takes exactly two tokens")
-            raw_patterns.append({c: _token_state(path, no, alphabet, t) for c, t in zip(_PAIR_CELLS[head], args)})
+            patterns.append(Pattern._trusted(alphabet, dict(zip(_PAIR_CELLS[head], _states(path, no, alphabet, args)))))
         elif head == "pattern":
             if alphabet is None:
                 raise ParseError(path, no, "alphabet must come first")
@@ -99,19 +101,19 @@ def parse_tileset(path) -> TileSet:
                 spot = Vec2(dx, dy)
                 if spot in cells:
                     raise ParseError(path, cno, f"duplicate cell {dx} {dy}")
-                cells[spot] = _token_state(path, cno, alphabet, ctoks[3])
+                cells[spot] = _states(path, cno, alphabet, ctoks[3:])[0]
             else:
                 raise ParseError(path, no, "pattern block not closed with end")
             if not cells:
                 raise ParseError(path, no, "pattern has no cells")
-            raw_patterns.append(cells)
+            patterns.append(Pattern._trusted(alphabet, cells))
         else:
             raise ParseError(path, no, f"unknown directive {head!r}")
     if alphabet is None:
         raise ParseError(path, 1, "missing alphabet line")
-    if not raw_patterns:
+    if not patterns:
         raise ParseError(path, 1, "no constraint line")
-    ts = TileSet.from_allowed(alphabet, [Pattern(alphabet, c) for c in raw_patterns])
+    ts = TileSet.from_allowed(alphabet, patterns)
     if mode != "forbidden":
         return ts
     # forbidden mode: the declared patterns are complemented inside each shape's cube
@@ -136,7 +138,7 @@ def parse_presentation(path, alphabet: Alphabet) -> GridPresentation:
             if (xcuts if head == "xcuts" else ycuts) is not None:
                 raise ParseError(path, no, f"duplicate {head} line")
             try:
-                cuts = tuple(int(t) for t in args)
+                cuts = tuple(map(int, args))
             except ValueError:
                 raise ParseError(path, no, f"{head} takes integers") from None
             if any(a >= b for a, b in zip(cuts, cuts[1:])):
@@ -147,7 +149,7 @@ def parse_presentation(path, alphabet: Alphabet) -> GridPresentation:
                 ycuts = cuts
         elif head == "region":
             try:
-                ix, iy, u, v = (int(t) for t in args)
+                ix, iy, u, v = map(int, args)
             except ValueError:
                 raise ParseError(path, no, "region takes four integers") from None
             if u < 1 or v < 1:
@@ -158,11 +160,10 @@ def parse_presentation(path, alphabet: Alphabet) -> GridPresentation:
             for rno, row in islice(rest, v):
                 if len(row) != u:
                     raise ParseError(path, rno, f"expected {u} tokens in region row")
-                rows.append([_token_state(path, rno, alphabet, tok) for tok in row])
+                rows.append(_states(path, rno, alphabet, row))
             if len(rows) < v:
                 raise ParseError(path, no, f"expected {v} rows after region")
-            data = tuple(tuple(rows[v - 1 - y][x] for y in range(v)) for x in range(u))
-            blocks[(ix, iy)] = Block(u, v, data)
+            blocks[(ix, iy)] = Block(u, v, tuple(zip(*reversed(rows))))  # data[x][y] reads rows[v - 1 - y][x]
         else:
             raise ParseError(path, no, f"unknown directive {head!r}")
     xcuts = xcuts or ()

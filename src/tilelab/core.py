@@ -56,8 +56,8 @@ class Pattern:
     """Partial map from a finite set of cells to states of one alphabet.
 
     Equality and hashing look at the cell map as placed, so translates of
-    the same shape compare unequal; use normalize() for a canonical placement
-    with the componentwise-minimal cell at the origin.
+    the same shape compare unequal; normalize() moves the componentwise-minimal
+    corner to the origin (a pattern already placed so is returned as itself).
     """
 
     __slots__ = ("alphabet", "cells", "_hash")
@@ -114,20 +114,20 @@ class Pattern:
         return tuple(self.cells[c] for c in sorted(self.cells))
 
     def min_corner(self) -> Vec2:
-        xs = [c.x for c in self.cells]
-        ys = [c.y for c in self.cells]
+        xs, ys = zip(*self.cells)
         return Vec2(min(xs), min(ys))
 
     def extents(self) -> tuple[int, int]:
-        xs = [c.x for c in self.cells]
-        ys = [c.y for c in self.cells]
+        xs, ys = zip(*self.cells)
         return max(xs) - min(xs) + 1, max(ys) - min(ys) + 1
 
     def translate(self, v) -> "Pattern":
         return Pattern._trusted(self.alphabet, {c + v: s for c, s in self.cells.items()})
 
     def normalize(self) -> "Pattern":
-        return self.translate(-self.min_corner())
+        xs, ys = zip(*self.cells)  # min_corner() without a Vec2: from_allowed normalizes every pattern
+        dx, dy = min(xs), min(ys)
+        return self.translate((-dx, -dy)) if dx or dy else self
 
     def is_rectangular(self) -> bool:
         w, h = self.extents()
@@ -213,18 +213,16 @@ class TileSet:
             for p in pats:
                 if p.alphabet != self.alphabet:
                     raise ValueError("pattern alphabet mismatch")
-                if p.domain() != shape:
+                if p.cells.keys() != shape:
                     raise ValueError("pattern domain differs from its shape")
 
     @classmethod
     def from_allowed(cls, alphabet: Alphabet, patterns: Iterable[Pattern]) -> "TileSet":
         """Group patterns by normalized shape; placement offsets are dropped."""
         by_shape: dict[frozenset[Vec2], set[Pattern]] = {}
-        for p in patterns:
-            if p.alphabet != alphabet:
-                raise ValueError("pattern alphabet mismatch")
+        for p in patterns:  # __post_init__ checks every alphabet
             q = p.normalize()
-            by_shape.setdefault(q.domain(), set()).add(q)
+            by_shape.setdefault(frozenset(q.cells), set()).add(q)
         shapes = sorted(by_shape, key=_shape_sort_key)
         return cls(alphabet, tuple(shapes), tuple(frozenset(by_shape[s]) for s in shapes))
 
@@ -261,7 +259,7 @@ class TileSet:
     def allowed_keys(self) -> tuple[frozenset[tuple[int, ...]], ...]:
         """Per shape, allowed patterns as state tuples in sorted-cell order."""
         return tuple(
-            frozenset(tuple(p.cells[c] for c in cells) for p in pats)
+            frozenset(tuple(map(p.cells.__getitem__, cells)) for p in pats)
             for cells, pats in zip(self.shape_cells, self.allowed)
         )
 

@@ -77,13 +77,14 @@ class GridPresentation:
                 raise ValueError("cuts must be strictly increasing")
         if len(self.regions) != len(self.xcuts) + 1:
             raise ValueError("need one region column per x-band")
+        k = len(self.alphabet)
         for col in self.regions:
             if len(col) != len(self.ycuts) + 1:
                 raise ValueError("need one region per y-band")
             for b in col:
                 for data_col in b.data:
                     for s in data_col:
-                        if not 0 <= s < len(self.alphabet):
+                        if not 0 <= s < k:
                             raise ValueError("block state out of alphabet range")
 
     @cached_property

@@ -422,6 +422,26 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "bad.tiles:2:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,body,argv,line,msg", [
+    ("first.tiles", "alphabet a b\nhpair c a\n", (), 2, "token 'c' not in alphabet"),
+    ("second.tiles", "alphabet a b\nhpair a c\n", (), 2, "token 'c' not in alphabet"),
+    ("both.tiles", "alphabet a b\nvpair c d\n", (), 2, "token 'c' not in alphabet"),
+    ("arity.tiles", "alphabet a b\nhpair a b a\n", (), 2, "hpair takes exactly two tokens"),
+    ("short.tiles", "alphabet a b\nvpair a\n", (), 2, "vpair takes exactly two tokens"),
+    ("cell.tiles", "alphabet a b\npattern\ncell 0 0 a\ncell 1 0 z\nend\n", (), 4, "token 'z' not in alphabet"),
+    ("row.pres", "presentation\nxcuts 0\nregion 0 0 2 1\nR Q\nregion 1 0 1 1\nG\n", (STRIPES,), 4,
+     "token 'Q' not in alphabet"),
+    ("rows.pres", "presentation\nregion 0 0 2 2\nR G\nX Y\n", (STRIPES,), 4, "token 'X' not in alphabet"),
+], ids=["pair-first", "pair-second", "pair-both", "pair-three", "pair-one", "cell", "row", "row-first"])
+def test_bad_token_and_arity_messages(capsys, tmp_path, name, body, argv, line, msg):
+    """A line with bad tokens names the first one; the exact stderr."""
+    f = tmp_path / name
+    f.write_text(body)
+    cmd = ["validate", *argv, str(f)] if argv else ["patterns", str(f), "--size", "1"]
+    assert main(cmd) == 2
+    assert capsys.readouterr() == ("", f"error: {f}:{line}: {msg}\n")
+
+
 def test_forbidden_mode_refuses_an_oversized_complement(capsys, tmp_path):
     # 17 cells over 2 states: 2^17 fillings, over the 2^16 complement limit
     f = tmp_path / "big.tiles"

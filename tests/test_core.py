@@ -59,6 +59,31 @@ def test_pattern_basics(rg):
     assert q.is_rectangular()
 
 
+def test_normalize_returns_a_placed_pattern_itself_and_moves_any_other(rg):
+    at_origin = Pattern(rg, {Vec2(0, 0): 1, Vec2(1, 0): 0, Vec2(0, 1): 1})
+    assert at_origin.normalize() is at_origin
+    for v in ((3, 0), (0, -2), (-1, 4)):
+        moved = at_origin.translate(v)
+        q = moved.normalize()
+        assert q == moved.translate(-moved.min_corner()) == at_origin
+        assert hash(q) == hash(at_origin)
+    # the least corner need not be a cell of the pattern
+    diagonal = Pattern(rg, {Vec2(1, 0): 0, Vec2(0, 1): 1})
+    assert diagonal.normalize() is diagonal
+    assert Pattern(rg, {Vec2(2, -1): 0, Vec2(1, 0): 1}).normalize() == diagonal
+
+
+def test_tileset_checks_each_pattern_against_its_shape_and_alphabet(rg):
+    h = frozenset({Vec2(0, 0), Vec2(1, 0)})
+    with pytest.raises(ValueError, match="^pattern domain differs from its shape$"):
+        TileSet(rg, (h,), (frozenset({Pattern(rg, {Vec2(0, 0): 0, Vec2(0, 1): 0})}),))
+    other = Pattern(Alphabet(("x", "y")), {Vec2(0, 0): 0, Vec2(1, 0): 1})
+    with pytest.raises(ValueError, match="^pattern alphabet mismatch$"):
+        TileSet(rg, (h,), (frozenset({other}),))
+    with pytest.raises(ValueError, match="^pattern alphabet mismatch$"):
+        TileSet.from_allowed(rg, [Pattern(rg, {Vec2(0, 0): 0, Vec2(1, 0): 0}), other])
+
+
 def test_pattern_immutable_and_hashable(rg):
     p = Pattern(rg, {Vec2(0, 0): 0})
     with pytest.raises(AttributeError):

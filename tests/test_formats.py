@@ -1,8 +1,11 @@
-"""Round trips through both file formats on generated inputs.
+"""Round trips through both file formats on generated inputs, and the
+parsers against the library.
 
 parse(emit(x)) == x for tile sets mixing pair rules with `pattern` blocks,
-and for presentations with 0-2 cuts per axis.  derandomize keeps every run
-on the same seed.
+and for presentations with 0-2 cuts per axis.  A parsed tile-set file equals
+the tile set built from its constraints through the checked `Pattern`
+constructor, and a parsed block reads its rows bottom up.  derandomize keeps
+every run on the same seed.
 """
 
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tilelab.cli import emit_presentation, emit_tileset, parse_presentation, parse_tileset
-from tilelab.core import Alphabet, Pattern, TileSet, Vec2
+from tilelab.core import Alphabet, Pattern, TileSet, Vec2, to_forbidden
 from tilelab.presentation import Block, GridPresentation
 
 common = settings(max_examples=100, deadline=None, derandomize=True)
@@ -94,3 +97,90 @@ def test_pair_lines_read_the_same_in_the_library_and_the_file(scratch):
     f.write_text("\n".join(["alphabet a b c", *lines]) + "\n")
     assert parse_tileset(f) == ts
     assert emit_tileset(ts).splitlines()[2:] == lines
+
+
+# ------------------------------------------------- parsing against the library
+
+OFFSETS = st.integers(-2, 2)
+
+
+@st.composite
+def tileset_files(draw):
+    """A tile-set file in either mode, with its constraint cell maps as the
+    library would be given them: hpair/vpair lines and `pattern` blocks
+    (offsets -2..2), some written twice, in shuffled order."""
+    al = draw(alphabets())
+    tok = st.sampled_from(al.tokens)
+    cell = st.tuples(OFFSETS, OFFSETS)
+    constraints = draw(st.lists(st.one_of(
+        st.tuples(st.sampled_from(("hpair", "vpair")), tok, tok),
+        st.tuples(st.just("pattern"), st.dictionaries(cell, tok, min_size=1, max_size=4)),
+    ), min_size=1, max_size=8))
+    constraints += draw(st.lists(st.sampled_from(constraints), max_size=3))
+    constraints = draw(st.permutations(constraints))
+    mode = draw(st.sampled_from(("allowed", "forbidden")))
+    lines, maps = [f"alphabet {' '.join(al.tokens)}", f"mode {mode}"], []
+    for head, *args in constraints:
+        if head == "pattern":
+            lines += ["pattern", *(f"cell {x} {y} {t}" for (x, y), t in args[0].items()), "end"]
+            maps.append({c: al.index[t] for c, t in args[0].items()})
+        else:
+            a, b = args
+            lines.append(f"{head} {a} {b}")
+            # hpair is (left, right), vpair (top, bottom)
+            cells = ((0, 0), (1, 0)) if head == "hpair" else ((0, 1), (0, 0))
+            maps.append(dict(zip(cells, (al.index[a], al.index[b]))))
+    return al, mode, maps, "\n".join(lines) + "\n"
+
+
+@common
+@given(case=tileset_files())
+def test_parsed_tileset_is_the_checked_library_one(scratch, case):
+    al, mode, maps, text = case
+    expected = TileSet.from_allowed(al, [Pattern(al, cells) for cells in maps])
+    if mode == "forbidden":
+        forbidden = to_forbidden(expected)
+        expected = TileSet(al, expected.shapes, tuple(forbidden[s] for s in expected.shapes))
+    f = scratch / "diff.tiles"
+    f.write_text(text)
+    ts = parse_tileset(f)
+    assert ts == expected
+    assert ts.shape_cells == expected.shape_cells
+    assert ts.allowed_keys == expected.allowed_keys
+    assert (ts.hextent, ts.vextent) == (expected.hextent, expected.vextent)
+
+
+@st.composite
+def presentation_files(draw):
+    """A presentation file as emit_presentation writes it: 0-2 cuts per
+    axis and region blocks up to 4 x 4, with its alphabet and, per region,
+    the rows of tokens it was written from (top row first)."""
+    al = draw(alphabets())
+    cuts = st.lists(st.integers(-6, 6), max_size=2, unique=True).map(sorted)
+    xcuts, ycuts = draw(cuts), draw(cuts)
+    lines = ["presentation"]
+    lines += [f"xcuts {' '.join(map(str, xcuts))}"] if xcuts else []
+    lines += [f"ycuts {' '.join(map(str, ycuts))}"] if ycuts else []
+    written = {}
+    for ix in range(len(xcuts) + 1):
+        for iy in range(len(ycuts) + 1):
+            u, v = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+            rows = [draw(st.lists(st.sampled_from(al.tokens), min_size=u, max_size=u)) for _ in range(v)]
+            lines += [f"region {ix} {iy} {u} {v}", *(" ".join(r) for r in rows)]
+            written[(ix, iy)] = rows
+    return al, written, "\n".join(lines) + "\n"
+
+
+@common
+@given(case=presentation_files())
+def test_parsed_blocks_read_rows_bottom_up(scratch, case):
+    al, written, text = case
+    f = scratch / "diff.pres"
+    f.write_text(text)
+    g = parse_presentation(f, al)
+    for (ix, iy), rows in written.items():
+        b, v = g.regions[ix][iy], len(rows)
+        assert (b.u, b.v) == (len(rows[0]), v)
+        assert all(b.data[x][y] == al.index[rows[v - 1 - y][x]] for x in range(b.u) for y in range(v))
+    assert emit_presentation(g) == text
+    assert parse_presentation(f, al) == g
