@@ -74,6 +74,22 @@ def live_indexes():
     return sum(isinstance(o, _Analysis) for o in gc.get_objects())
 
 
+def order_reads(monkeypatch):
+    """Log (family, w, h) for every window set that tilelab.order reads from
+    a plane's scan index (family is None outside a TilingFamily method)."""
+    real = _Analysis.rect_keys
+    log = []
+
+    def logged(self, w, h):
+        caller = sys._getframe(1)
+        if caller.f_globals["__name__"] == "tilelab.order":
+            log.append((caller.f_locals.get("self"), w, h))
+        return real(self, w, h)
+
+    monkeypatch.setattr(_Analysis, "rect_keys", logged)
+    return log
+
+
 def _cell(s):
     return Block(1, 1, ((s,),))
 

@@ -2,8 +2,9 @@
 
 x extracts into y when every window of x occurs somewhere in y.  At a fixed
 window size that is a plain inclusion test.  Inclusion between two planes is
-constant from the larger of their saturation sizes on, so a family compares
-every pair at one size N, its window raised to every member's saturation size,
+constant from the larger of their saturation sizes on, so a family reads each
+member's window set at one size N, its window raised to every member's
+saturation size.  Equal sets make a class, a proper subset lies strictly below,
 and the reported order is a property of the planes, not of a window parameter.
 """
 
@@ -33,7 +34,7 @@ def saturation_window(g: GridPresentation) -> int:
 class TilingFamily:
     """Ordered, named members presenting tilings of one tile set.
 
-    window is the base comparison size; every pair is compared at one size N,
+    window is the base comparison size; every member is read at one size N,
     window raised to every member's saturation size, so enlarging window
     further never changes the reported order.
     """
@@ -55,7 +56,6 @@ class TilingFamily:
         self.members = members
         self._pres = dict(members)
         self._n = max([window] + [saturation_window(pres) for _, pres in members])
-        self._le: dict[tuple[str, str], bool] = {}
 
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.members)
@@ -67,26 +67,23 @@ class TilingFamily:
         return self._n
 
     def le(self, a: str, b: str) -> bool:
-        got = self._le.get((a, b))
-        if got is None:
-            got = self._le[(a, b)] = preceq(self._pres[a], self._pres[b], self._n)
-        return got
+        return preceq(self._pres[a], self._pres[b], self._n)
 
     def lt(self, a: str, b: str) -> bool:
         return self.le(a, b) and not self.le(b, a)
 
+    def _windows(self, name: str) -> frozenset:
+        return self._pres[name]._index.rect_keys(self._n, self._n)
+
     @cached_property
     def _classes(self) -> tuple[tuple[str, ...], ...]:
-        """Kept apart from _order: isolation rounds read classes only."""
-        classes: list[list[str]] = []
+        """Members grouped in one pass by equal N-window sets (keys compare
+        exactly; the hash only picks a bucket), in first-appearance order.
+        Kept apart from _order: isolation rounds read classes only."""
+        classes: dict[frozenset, list[str]] = {}
         for name in self.names():
-            for cls in classes:
-                if self.le(name, cls[0]) and self.le(cls[0], name):
-                    cls.append(name)
-                    break
-            else:
-                classes.append([name])
-        return tuple(map(tuple, classes))
+            classes.setdefault(self._windows(name), []).append(name)
+        return tuple(map(tuple, classes.values()))
 
     @cached_property
     def _order(self) -> "_Preorder":
@@ -94,27 +91,28 @@ class TilingFamily:
 
     def _without(self, gone) -> "TilingFamily":
         """The family less the gone members, keeping this family's comparison
-        size N and cache, so every cached answer is one it would compute."""
+        size N, so it reads window sets its planes have already built."""
         keep = [(n, p) for n, p in self.members if n not in gone]
         sub = TilingFamily(self.tileset, keep, self.window, validate=False)
-        sub._n, sub._le = self._n, self._le
+        sub._n = self._n
         return sub
 
 
 class _Preorder:
     """The strict extraction order between a family's classes (above[i]
     holds each class over class i, below[j] each class under j) and every
-    class's level, read once from the family's comparison cache."""
+    class's level: class i lies under class j when i's N-window set is a
+    proper subset of j's."""
 
     def __init__(self, f: TilingFamily):
-        up = [[a is not b and f.le(a[0], b[0]) for b in f._classes] for a in f._classes]
-        k = range(len(up))
+        sets = [f._windows(cls[0]) for cls in f._classes]
+        k = range(len(sets))
         self.index = {name: i for i, cls in enumerate(f._classes) for name in cls}
-        self.above = [{j for j in k if up[i][j] and not up[j][i]} for i in k]
+        self.above = [{j for j in k if sets[i] < sets[j]} for i in k]
         self.below = [{i for i in k if j in self.above[i]} for j in k]
         # below is transitively closed, so a class has more classes below it
         # than any class under it: by that count, each level reads settled ones
-        self.levels = [0] * len(up)
+        self.levels = [0] * len(sets)
         for j in sorted(k, key=lambda j: len(self.below[j])):
             self.levels[j] = 1 + max((self.levels[i] for i in self.below[j]), default=-1)
 

@@ -6,7 +6,7 @@ from functools import cache, cached_property
 import pytest
 
 from oracle import brute
-from conftest import corpus_planes
+from conftest import corpus_planes, order_reads
 from tilelab.cb import (
     RankReport,
     _isolated,
@@ -24,6 +24,7 @@ from tilelab.presentation import (
     Finite,
     GridPresentation,
     Infinite,
+    _Analysis,
     _dims_ascending,
     _key_pattern,
     _occurrence_scan,
@@ -136,31 +137,35 @@ def test_unknown_member(family6):
 
 
 def test_derivatives_reuse_parent_comparisons(family6, monkeypatch):
-    import tilelab.order
+    """Everything the order and cb subcommands ask, plus a derivative's
+    diagram, scans each plane's N x N window set once, and the order layer
+    reads no other size: derivatives read the sets their parent built."""
+    from dataclasses import replace
+
     from tilelab.order import hasse, level_of, maximal_classes, minimal_classes
 
-    f = TilingFamily(family6.tileset, family6.members, family6.window, validate=False)
-    name_of = {id(p): n for n, p in f.members}
-    real = tilelab.order.preceq
-    calls = []
+    # fresh planes, so that no scan index is built before the count starts
+    f = TilingFamily(family6.tileset, [(n, replace(p)) for n, p in family6.members],
+                     family6.window, validate=False)
+    name_of = {id(p._index): n for n, p in f.members}
+    real = _Analysis.windows
+    scans = []
 
-    def counting(x, y, n):
-        calls.append((name_of[id(x)], name_of[id(y)]))
-        return real(x, y, n)
+    def counting(self, w, h, xs, ys):
+        scans.append((name_of[id(self)], w, h))
+        return real(self, w, h, xs, ys)
 
-    monkeypatch.setattr(tilelab.order, "preceq", counting)
-    # everything the order subcommand asks: each pair reaches preceq at most once
+    monkeypatch.setattr(_Analysis, "windows", counting)
+    reads = order_reads(monkeypatch)
     h = hasse(f)
     minimal_classes(f), maximal_classes(f)
     for cls in h.classes:
         level_of(f, cls[0])
-    n = len(f.names())
-    assert len(calls) <= n * (n - 1)
-    assert len(set(calls)) == len(calls)
-    compared, calls[:] = set(calls), []
-    hasse(derivative(f))
     ranks(f)
-    assert not compared & set(calls)
+    hasse(derivative(f))
+    n = f._n
+    assert sorted(s for s in scans if s[1:] == (n, n)) == sorted((name, n, n) for name in f.names())
+    assert {(w, h) for _, w, h in reads} == {(n, n)}
 
 
 def one_copy_band_family():

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from oracle import brute
-from conftest import corpus_planes, make_a
+from conftest import corpus_planes, make_a, order_reads
+from test_cb import random_family
 from tilelab.order import (
     TilingFamily,
     _Preorder,
@@ -79,32 +80,42 @@ def test_comparisons_use_saturated_windows(family6):
 
 
 def test_one_comparison_window_per_family(stripes, members, monkeypatch):
-    import tilelab.order
     from tilelab.cb import derivative
 
-    seen = []
-
-    def recording(x, y, n):
-        seen.append(n)
-        return preceq(x, y, n)
-
-    monkeypatch.setattr(tilelab.order, "preceq", recording)
+    reads = order_reads(monkeypatch)
     f = TilingFamily(stripes, sorted(members.items()), 6)
     d = derivative(f)
     hasse(d)
     level_of(d, "b1")
-    assert seen  # the derivative compared pairs of its own
     hasse(f)
     level_of(f, "a4")
     d2 = derivative(d)
-    assert set(seen) == {9}
+    hasse(d2)
+    level_of(d2, d2.names()[0])
+    assert {fam for fam, _, _ in reads} == {f, d, d2}
+    assert {(w, h) for _, w, h in reads} == {(9, 9)}
     # the second derivative keeps no member whose saturation size is 9,
-    # yet it still compares at its ancestors' size, so their cache holds
+    # yet it still reads at its ancestors' size, where their sets are built
     assert max(saturation_window(d2.presentation(n)) for n in d2.names()) < 9
     for sub in (d, d2):
         for a in sub.names():
             for b in sub.names():
                 assert sub.compare_window(a, b) == f.compare_window(a, b) == 9
+
+
+def test_family_queries_make_no_pairwise_comparison(stripes, members, monkeypatch):
+    """Classes, diagram, extremes and levels are read off the members'
+    window sets: a fresh corpus family calls preceq for none of them."""
+    import tilelab.order
+
+    calls = []
+    monkeypatch.setattr(tilelab.order, "preceq", lambda *args: calls.append(args))
+    f = TilingFamily(stripes, sorted(members.items()), 6)
+    assert len(equivalence_classes(f)) == 23
+    assert not calls
+    hasse(f), minimal_classes(f), maximal_classes(f)
+    assert max(level_of(f, n) for n in f.names()) == 2
+    assert not calls
 
 
 def test_classes_are_singletons(family6):
@@ -230,7 +241,36 @@ def test_levels_of_a_long_chain():
         _classes = tuple((i,) for i in range(260))
 
         @staticmethod
-        def le(a, b):
-            return a >= b
+        def _windows(i):
+            return frozenset(range(260 - i))
 
     assert _Preorder(Chain()).levels == list(range(259, -1, -1))
+
+
+def test_preorder_matches_pairwise_comparison_on_random_families():
+    """Random banded families, with shifted twins so that classes have
+    several members, and their derivatives: classes, covers, extremes and
+    levels equal those read from preceq at N for every ordered pair."""
+    from tilelab.cb import derivative
+
+    rng = random.Random(2024)
+    shared = strict = deep = 0
+    for _ in range(60):
+        f, _ = random_family(rng, range(-3, 4), 3, 2)
+        members = list(f.members)
+        for name, pres in rng.sample(f.members, rng.randint(1, len(members))):
+            twin = (name + "_shifted", shift(pres, (rng.randint(-5, 5), rng.randint(-5, 5))))
+            members.insert(rng.randrange(len(members) + 1), twin)
+        f = TilingFamily(f.tileset, members, f.window)
+        while f.names():
+            pres = f.presentation
+            _check_against_oracle(f, {(a, b): preceq(pres(a), pres(b), f._n)
+                                      for a in f.names() for b in f.names()})
+            shared += any(len(c) > 1 for c in equivalence_classes(f))
+            top = max(level_of(f, name) for name in f.names())
+            strict, deep = strict + (top >= 1), deep + (top >= 2)
+            rest = derivative(f)
+            if len(rest.names()) == len(f.names()):
+                break
+            f = rest
+    assert shared >= 40 and strict >= 20 and deep
