@@ -35,14 +35,20 @@ def _search_bounds(f: TilingFamily, g: GridPresentation) -> tuple[int, int]:
 
 def _pinning_key(f: TilingFamily, name: str, w: int, h: int) -> tuple[int, ...] | None:
     """Least coded w x h window of name's plane in no other class whose
-    occurrences in the plane form one period-lattice orbit, else None."""
-    x = f.presentation(name)
-    mine = next(cls for cls in equivalence_classes(f) if name in cls)
+    occurrences in the plane form one period-lattice orbit, else None.  A class's
+    windows up to N x N lie in every class above it: only a maximal class has
+    private ones, and only the classes maximal but for name's are subtracted."""
+    x, order = f.presentation(name), f._order
+    mine = order.index[name]
+    assert max(w, h) <= f._n, "every search bound is at most the comparison size"
+    if order.above[mine]:
+        return None
     cands = set(x._index.rect_keys(w, h))
-    for y in (f.presentation(o)._index for o in f.names() if o not in mine):
-        cands -= y.rect_keys(w, h)
-        if not cands:
-            return None
+    for j, (cls, up) in enumerate(zip(equivalence_classes(f), order.above)):
+        if j != mine and up <= {mine}:
+            cands -= f.presentation(cls[0])._index.rect_keys(w, h)
+            if not cands:
+                return None
     # coded keys sort like the windows' x-major state tuples
     for key in sorted(cands):
         positions, dirs = _occurrence_scan(x, w, h, {key})

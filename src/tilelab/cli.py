@@ -357,6 +357,15 @@ def _dot(h) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _unstable_pairs(f: TilingFamily) -> list[list[str]]:
+    """Representatives (a, b) included at f.window, not at f.window + 1 (inclusion at n + 1 implies it
+    at n).  None is lost from N on, nor below N by a pair in order, which holds up to N."""
+    reps, above = [(cls[0], f.presentation(cls[0])) for cls in f._classes], f._order.above
+    return [[a, b] for i, (a, ga) in enumerate(reps) for j, (b, gb) in enumerate(reps)
+            if i != j and j not in above[i] and f.window < f.compare_window(a, b)
+            and preceq(ga, gb, f.window) and not preceq(ga, gb, f.window + 1)]
+
+
 def _cmd_order(ts: TileSet, args) -> int:
     f = _load_family(ts, args.family, args.window)
     h = hasse(f)
@@ -371,17 +380,7 @@ def _cmd_order(ts: TileSet, args) -> int:
         }
         for cls in h.classes
     ]
-    # Inclusions between distinct tilings can flip as the window grows; the
-    # diagram itself is window-independent, so only the raw checks are probed.
-    # Inclusion at n + 1 implies it at n (every n-window is the corner of an
-    # (n+1)-window at the same corner), so only a loss is probed.
-    reps = [(cls[0], f.presentation(cls[0])) for cls in h.classes]
-    unstable = [
-        [a, b]
-        for a, ga in reps
-        for b, gb in reps
-        if a != b and preceq(ga, gb, f.window) and not preceq(ga, gb, f.window + 1)
-    ]
+    unstable = _unstable_pairs(f)
     # the dot file is written first, so a failed write leaves stdout empty
     if args.dot:
         Path(args.dot).write_text(_dot(h))

@@ -211,7 +211,7 @@ class TileSet:
             if min(c.x for c in shape) != 0 or min(c.y for c in shape) != 0:
                 raise ValueError("shape not normalized")
             for p in pats:
-                if p.alphabet != self.alphabet:
+                if p.alphabet is not self.alphabet and p.alphabet != self.alphabet:
                     raise ValueError("pattern alphabet mismatch")
                 if p.cells.keys() != shape:
                     raise ValueError("pattern domain differs from its shape")

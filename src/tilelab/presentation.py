@@ -3,12 +3,13 @@
 A presentation cuts the plane into x-bands and y-bands and fills each band
 product with a periodic block, anchored at the global origin.  Everything a
 band structure can ask (window languages, occurrence counts, period lattices,
-recurrence type) reduces to finite scans whose ranges come from the band
-spans plus, on each side, one step of that side's extreme band (the lcm of
-its own block periods); the scan-range arguments are spelled out at the
-functions that rely on them.  A window inside a middle band repeats under the
-band's own step, so a tall middle band keeps two steps of inside corners in
-every scan box (`_corners`); `occurrences` counts what they stand for.
+recurrence type) reduces to finite scans, each as deep as the blocks it reads
+repeat; the arguments are spelled out at the functions that rely on them.
+Positions and counts read the corner box: the band spans plus one step of each
+extreme band (the lcm of its blocks' periods), a tall middle band cut to two
+steps of inside corners (`_corners`), which `occurrences` counts back.  Window
+contents read only each run's own blocks' lcm (`content_boxes`), and period
+tests two joint steps where middle bands overlap (`_agree`).
 
 Every scan reads its plane's index (`_Analysis`, the plane's `_index`).  A
 column of the plane depends only on its class, its x-band and x modulo that
@@ -175,6 +176,17 @@ def _corners(cuts: tuple[int, ...], w: int, lo: int, hi: int, mids=()) -> tuple[
     return (*kept, last) if last else tuple(kept)
 
 
+def _runs(cuts: tuple[int, ...], w: int, box: tuple[range, ...]) -> list[tuple[range, int, int]]:
+    """box's corners cut at c - w + 1 and c for each cut c, as (run, first band,
+    last band): the length-w windows at one run's corners touch the same bands."""
+    edges, runs = sorted({e for c in cuts for e in (c - w + 1, c)}), []
+    for r in box:
+        inner = [e for e in edges if r.start < e < r.stop]
+        for lo, hi in zip([r.start, *inner], [*inner, r.stop]):
+            runs.append((range(lo, hi), bisect_right(cuts, lo), bisect_right(cuts, lo + w - 1)))
+    return runs
+
+
 def _copies(mids, w: int, c: int) -> int:
     """Corners that kept corner c of `_corners` stands for: c, c + 2m, ... <= b - w in band (a, b, m), else 1."""
     return next(((b - w - c) // (2 * m) + 1 for a, b, m in mids if a <= c <= b - w), 1)
@@ -185,15 +197,17 @@ class _Analysis:
     column classes asked for, per run height and kept row ranges, and the
     coded window-key sets asked for so far."""
 
-    __slots__ = ("xcuts", "ycuts", "regions", "xsteps", "steps", "mids", "k", "keys", "codes")
+    __slots__ = ("xcuts", "ycuts", "regions", "xsteps", "steps", "mids", "local", "k", "keys", "codes")
 
     def __init__(self, g: GridPresentation):
         # the plane's parts, not the plane: no reference cycle, so the index dies with its plane
         self.xcuts, self.ycuts, self.regions = g.xcuts, g.ycuts, g.regions
         # per axis, each band's step: the lcm of its blocks' periods along that axis;
-        # steps is (left, right, bottom, top), the steps of the extreme bands
-        self.xsteps = [lcm(*[b.u for b in col]) for col in g.regions]
-        ysteps = [lcm(*[b.v for b in row]) for row in zip(*g.regions)]
+        # steps is (left, right, bottom, top), the steps of the extreme bands; a band
+        # with two periods has a block repeating faster than it, and only then can a run be cut
+        us, vs = [{b.u for b in col} for col in g.regions], [{b.v for b in row} for row in zip(*g.regions)]
+        self.xsteps, ysteps = [lcm(*p) for p in us], [lcm(*p) for p in vs]
+        self.local = any(len(p) > 1 for p in us + vs)
         self.steps = (self.xsteps[0], self.xsteps[-1], ysteps[0], ysteps[-1])
         # per axis, (a, b, m) for each middle band [a, b) of step m that can clip: b - a > 2m
         self.mids = tuple([(a, b, m) for a, b, m in zip(cuts, cuts[1:], steps[1:-1]) if b - a > 2 * m]
@@ -203,29 +217,26 @@ class _Analysis:
         self.codes: dict[tuple, dict[tuple[int, int], list[int]]] = {}  # (h, ys) -> (x-band, x mod step) -> codes
 
     def corner_box(self, w: int, h: int) -> tuple[tuple[range, ...], tuple[range, ...]]:
-        """Corner ranges whose w x h windows realize every window content.
-
-        A window lying inside an extreme band repeats under that band's step
-        along its axis, whatever bands it crosses on the other axis: every
-        block it reads lies in that band, has its period on the axis dividing
-        the step, and is anchored at the origin.  So corners one step deep
-        into each extreme band plus all the straddling corners cover every
-        content exactly; with no cuts on an axis one step's worth suffices.
-        A tall middle band keeps two steps of its inside corners (`_corners`).
-        The two axes shift independently, so the product box does too.
-        """
+        """Corner ranges whose w x h windows realize every window content, the
+        box that positions and counts read (contents read `content_boxes`).
+        A window inside an extreme band repeats under that band's step along
+        its axis, whatever it crosses on the other: every block it reads lies
+        in that band, has its period dividing the step, and is anchored at the
+        origin.  So corners one step deep into each extreme band (one step's
+        worth with no cut) plus the straddling ones cover every content, and a
+        tall middle band keeps two steps of inside corners (`_corners`)."""
         xm, ym = self.mids
         return _corners(self.xcuts, w, *self.steps[:2], xm), _corners(self.ycuts, h, *self.steps[2:], ym)
 
-    def column(self, x: int, y0: int, y1: int) -> list[int]:
-        """The cells of column x from row y0 to row y1, filled y-band by y-band from the blocks' own columns."""
-        blocks, ycuts = self.regions[bisect_right(self.xcuts, x)], self.ycuts
-        edges = [y0, *(c for c in ycuts if y0 < c <= y1), y1 + 1]
-        col: list[int] = []
-        for lo, hi in zip(edges, edges[1:]):
-            b = blocks[bisect_right(ycuts, lo)]
-            s, n = lo % b.v, hi - lo
-            col += (b.data[x % b.u] * ((s + n) // b.v + 1))[s:s + n]
+    def column(self, x: int, *rows: range) -> list[int]:
+        """The cells of column x at each range of rows in turn, filled y-band by y-band from the blocks' own columns."""
+        blocks, ycuts, col = self.regions[bisect_right(self.xcuts, x)], self.ycuts, []
+        for r in rows:
+            edges = [r.start, *(c for c in ycuts if r.start < c < r.stop), r.stop]
+            for lo, hi in zip(edges, edges[1:]):
+                b = blocks[bisect_right(ycuts, lo)]
+                s, n = lo % b.v, hi - lo
+                col += (b.data[x % b.u] * ((s + n) // b.v + 1))[s:s + n]
         return col
 
     def _codes(self, x: int, h: int, ys: tuple[range, ...]) -> list[int]:
@@ -233,7 +244,7 @@ class _Analysis:
         one below it: drop the top digit, shift in the next cell."""
         k, top, codes = self.k, self.k ** (h - 1), []
         for r in ys:
-            cells, code = self.column(x, r[0], r[-1] + h - 1), 0
+            cells, code = self.column(x, range(r.start, r.stop + h - 1)), 0
             for s in cells[:h - 1]:
                 code = code * k + s
             for s0, s1 in zip(cells, cells[h - 1:]):
@@ -258,11 +269,33 @@ class _Analysis:
                 cols.append(col)
         return chain.from_iterable(zip(*cols[i:i + w]) for i in starts)
 
+    def content_boxes(self, w: int, h: int) -> dict[tuple[range, bool], list[range]]:
+        """The corner box's runs (`_runs`) paired across the axes, as (y-run, outside) -> x-runs,
+        outside when the windows lie inside an extreme band.  Where a run's windows lie in one
+        band on an axis, the blocks they read repeat along it with the lcm L of their periods
+        there, anchored at the origin: the run is cut to its first L corners, which show every
+        content it does (never its counts)."""
+        (xb, yb), nx, ny, boxes = self.corner_box(w, h), len(self.xcuts), len(self.ycuts), {}
+        yruns = _runs(self.ycuts, h, yb)
+        for xr, x0, x1 in _runs(self.xcuts, w, xb):
+            for yr, y0, y1 in yruns:
+                blocks = [b for col in self.regions[x0:x1 + 1] for b in col[y0:y1 + 1]]
+                xs = xr[:lcm(*[b.u for b in blocks])] if x0 == x1 else xr
+                ys = yr[:lcm(*[b.v for b in blocks])] if y0 == y1 else yr
+                boxes.setdefault((ys, x1 == 0 or x0 == nx or y1 == 0 or y0 == ny), []).append(xs)
+        return boxes
+
     def rect_keys(self, w: int, h: int) -> frozenset:
-        """All distinct w x h window contents as coded keys (see the module docstring)."""
+        """All distinct w x h window contents as coded keys (see the module docstring), read off
+        the content boxes, or off the corner box in one read where no block repeats faster than its band."""
         got = self.keys.get((w, h))
         if got is None:
-            got = self.keys[(w, h)] = frozenset(self.windows(w, h, *self.corner_box(w, h)))
+            if self.local:
+                boxes = self.content_boxes(w, h).items()
+                keys = chain.from_iterable(self.windows(w, h, tuple(xs), (ys,)) for (ys, _), xs in boxes)
+            else:
+                keys = self.windows(w, h, *self.corner_box(w, h))
+            got = self.keys[(w, h)] = frozenset(keys)
         return got
 
 
@@ -422,10 +455,15 @@ def _agree(a1: _Analysis, a2: _Analysis, xcuts, ycuts, steps, v: Vec2) -> bool:
     """Whether a1's plane at p equals a2's plane at p - v for every p in the
     comparison box of planes cut at xcuts and ycuts that repeat outside them
     with steps (left, right, bottom, top): the cells of the corner range at
-    w = 1 on each axis, compared column by column."""
-    (xs,), (ys,) = _corners(xcuts, 1, *steps[:2]), _corners(ycuts, 1, *steps[2:])
-    y0, y1 = ys[0], ys[-1]
-    return all(a1.column(x, y0, y1) == a2.column(x - v.x, y0 - v.y, y1 - v.y) for x in xs)
+    w = 1 on each axis, one read per column.  Both planes repeat across an
+    overlap of their middle bands with the lcm m of the two steps, so the
+    range keeps only its first 2m rows or columns (`_corners`)."""
+    xm, ym = ([(lo, hi, m) for a, b, s in m1 for c, e, t in m2  # overlaps of middle bands that can clip
+               if (hi := min(b, e + d)) - (lo := max(a, c + d)) > 2 * (m := lcm(s, t))]
+              for m1, m2, d in zip(a1.mids, a2.mids, v))
+    xs, ys = _corners(xcuts, 1, *steps[:2], xm), _corners(ycuts, 1, *steps[2:], ym)
+    moved = [range(r.start - v.y, r.stop - v.y) for r in ys]
+    return all(a1.column(x, *ys) == a2.column(x - v.x, *moved) for x in chain.from_iterable(xs))
 
 
 def equal(g1: GridPresentation, g2: GridPresentation) -> bool:
@@ -514,6 +552,10 @@ def type_of(g: GridPresentation):
     extreme band would splice band repetition into a global period), and the
     hull of its occurrences supports a once-occurring window of per-axis size
     at most 3 * span + 4 * lcm - 2, which bounds the witness search below.
+    At each size only the straddle zone is counted: the corners outside it
+    put the window inside an extreme band, where it recurs, so a window
+    occurs once iff it has one corner in the zone (a window repeating down
+    a clipped band has two there) and no content box outside shows it.
     """
     if period_lattice(g).rank >= 1:
         return TypeA()
@@ -526,12 +568,10 @@ def type_of(g: GridPresentation):
         cxs, cys = _corners(g.xcuts, w, -1, -1, a.mids[0]), _corners(g.ycuts, h, -1, -1, a.mids[1])
         if not cxs or not cys:
             continue
-        # Corners outside cxs x cys put the window in an unbounded band, where it
-        # recurs, and a window repeating down a clipped band has two kept corners:
-        # it occurs once iff it has a corner in cxs x cys and no other in the box.
-        straddling = set(a.windows(w, h, cxs, cys))
-        counts = Counter(filter(straddling.__contains__, a.windows(w, h, *a.corner_box(w, h))))
-        once = [key for key, n in counts.items() if n == 1]
+        once = {key for key, n in Counter(a.windows(w, h, cxs, cys)).items() if n == 1}
+        for (ys, outside), xs in a.content_boxes(w, h).items() if once else ():
+            if outside and once:
+                once.difference_update(a.windows(w, h, tuple(xs), (ys,)))
         if once:
             return TypeB(_key_pattern(g.alphabet, min(once), h))
     raise AssertionError("trivial lattice admits a once-occurring window within the bound")

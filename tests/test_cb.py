@@ -7,6 +7,7 @@ import pytest
 
 from oracle import brute
 from conftest import corpus_planes, order_reads
+from tilelab import cb
 from tilelab.cb import (
     RankReport,
     _isolated,
@@ -17,8 +18,9 @@ from tilelab.cb import (
     isolating_pattern,
     ranks,
 )
+from tilelab.cli import _unstable_pairs
 from tilelab.core import Alphabet, Pattern, TileSet, Vec2
-from tilelab.order import TilingFamily
+from tilelab.order import TilingFamily, preceq
 from tilelab.presentation import (
     Block,
     Finite,
@@ -398,3 +400,66 @@ def test_isolating_pattern_computes_one_period_lattice(family6, monkeypatch):
     assert got == expected
     assert len({id(g) for g in searched}) == len(searched) >= 10
     assert sum(w is not None for _, w in expected) >= 20
+
+
+def unfiltered_pinning_key(f, name, w, h):
+    """`_pinning_key` without the family's order: every member of every
+    other class is subtracted, whatever lies under what."""
+    x = f.presentation(name)
+    mine = next(cls for cls in f._classes if name in cls)
+    cands = set(x._index.rect_keys(w, h))
+    for other in f.names():
+        if other not in mine:
+            cands -= f.presentation(other)._index.rect_keys(w, h)
+    for key in sorted(cands):
+        positions, dirs = _occurrence_scan(x, w, h, {key})
+        lat, base = period_lattice(x), positions[0]
+        if all(lat.contains(p - base) for p in positions[1:]) and all(map(lat.contains, dirs)):
+            return key
+    return None
+
+
+def unfiltered_unstable_pairs(f):
+    """The `order` stabilization probe over every ordered pair of class representatives."""
+    reps = [(cls[0], f.presentation(cls[0])) for cls in f._classes]
+    return [[a, b] for a, ga in reps for b, gb in reps
+            if a != b and preceq(ga, gb, f.window) and not preceq(ga, gb, f.window + 1)]
+
+
+def test_order_filtered_work_matches_the_unfiltered_computation(monkeypatch):
+    """Windows up to N x N of a class lie in every class above it, and every
+    search bound is at most N: so the stabilization probe may skip ordered
+    pairs and every window from N on, and isolation may skip non-maximal
+    classes and subtract only the classes maximal but for the tested one.
+    On seeded families at windows from 2 to N + 1, in every derivative round,
+    the unstable pairs equal the unfiltered probe's (some with the second
+    class under the first, which the probe must not skip), the ranks equal
+    an unfiltered run's, and on the first 30 families so do the isolating
+    patterns."""
+    rng = random.Random(2510)
+    unstable = reverse = skipped = rounds = 0
+    for n in range(80):
+        base, _ = random_family(rng, range(-3, 4), 3, 2)
+        for window in range(2, base._n + 2):
+            f = TilingFamily(base.tileset, base.members, window, validate=False)
+            with monkeypatch.context() as m:
+                m.setattr(cb, "_pinning_key", unfiltered_pinning_key)
+                want = ranks(TilingFamily(base.tileset, base.members, window, validate=False))
+            assert ranks(f) == want, window
+            while f.names():
+                pairs, order = _unstable_pairs(f), f._order
+                assert pairs == unfiltered_unstable_pairs(f), window
+                unstable += len(pairs)
+                reverse += sum(order.index[a] in order.above[order.index[b]] for a, b in pairs)
+                skipped += sum(map(bool, order.above))
+                if n < 30:
+                    got = [isolating_pattern(f, cls[0]) for cls in f._classes]
+                    with monkeypatch.context() as m:
+                        m.setattr(cb, "_pinning_key", unfiltered_pinning_key)
+                        assert got == [isolating_pattern(f, cls[0]) for cls in f._classes], window
+                rounds += 1
+                rest = derivative(f)
+                if len(rest.names()) == len(f.names()):
+                    break
+                f = rest
+    assert reverse and unstable > reverse and skipped and rounds > 500, (unstable, reverse, skipped, rounds)

@@ -1,13 +1,15 @@
 import copy
 import gc
+import math
 import pickle
 import random
+from dataclasses import replace
 from itertools import chain
 
 import pytest
 
 from oracle import brute
-from conftest import CORPUS, corpus_planes, live_indexes, make_a
+from conftest import CORPUS, corpus_planes, live_indexes, make_a, make_b
 from tilelab.cli import parse_presentation
 from tilelab.core import Alphabet, Pattern, TileSet, Vec2
 from tilelab.order import preceq
@@ -750,3 +752,167 @@ def test_windows_at_any_corner_ranges_match_oracle(seed):
                     got = [_decode(key, h, k) for key in a.windows(w, h, xs, ys)]
                     assert got == [tuple(grid[x + dx + reach][y + dy + reach] for dx in range(w) for dy in range(h))
                                    for x in chain(*xs) for y in chain(*ys)], (seed, w, h, xs, ys)
+
+
+# ------------------------------------------- local planes against the oracle
+
+def local_plane(rng):
+    """(presentation, plane fn, per-axis cut lists, largest band step): 2-3
+    states, 1-2 x-cuts and 2 y-cuts whose middle band is 2m + 4 to 2m + 12
+    tall (m its step), transposed half the time.  Within a band the blocks'
+    periods along its axis are pairwise coprime (drawn from 1, 2, 3), so
+    blocks repeat faster than their band and scans cut their runs.  A
+    quarter of the planes repeat one x-band's blocks in every x-band, so
+    they have a period along x."""
+    k = rng.randint(2, 3)
+    xcuts = sorted(rng.sample(range(-3, 4), rng.randint(1, 2)))
+    vs = [rng.sample((1, 2, 3), len(xcuts) + 1) for _ in range(3)]  # vs[iy][ix]
+    raw = [[tuple(tuple(rng.randrange(k) for _ in range(vs[iy][ix])) for _ in range(u))
+            for iy, u in enumerate(rng.sample((1, 2, 3), 3))] for ix in range(len(xcuts) + 1)]
+    if rng.random() < 0.25:
+        raw = [raw[0]] * len(raw)
+    steps = [math.lcm(*map(len, col)) for col in raw] + [math.lcm(*(len(col[iy][0]) for col in raw)) for iy in range(3)]
+    y0 = rng.randint(-3, 0)
+    ycuts = [y0, y0 + 2 * steps[-2] + rng.randint(4, 12)]
+    regions = tuple(tuple(Block(len(d), len(d[0]), d) for d in col) for col in raw)
+    g = GridPresentation(Alphabet(tuple(f"s{i}" for i in range(k))), tuple(xcuts), tuple(ycuts), regions)
+
+    def fn(x, y):
+        data = raw[sum(c <= x for c in xcuts)][sum(c <= y for c in ycuts)]
+        return data[x % len(data)][y % len(data[0])]
+
+    if rng.random() < 0.5:
+        return transpose(g), lambda x, y: fn(y, x), (ycuts, xcuts), max(steps)
+    return g, fn, (xcuts, ycuts), max(steps)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_local_planes_match_oracle(seed, monkeypatch):
+    """Window keys, validity on the sparse shapes, periods, equality and the
+    type-B witness of planes whose blocks repeat faster than their bands,
+    against the oracle at reaches read off each plane's cuts and steps: with
+    cuts within c of 0, steps at most s and windows at most 4 long, every
+    window content has a copy with its corner in [-c - 4 - s, c + s]; a
+    finite occurrence lies within c + 4, and an infinite family has a copy
+    within near and another within near + s; a shift by v with |v| <= k,
+    the larger block lcm, agrees with the plane everywhere when it does on
+    [-c - k - s, c + k + s], which the oracle compares at reach c + 2k + s."""
+    rng = random.Random(f"local/{seed}")
+    g, fn, cuts, s = local_plane(rng)
+    assert g._index.local
+    ux, vy = block_lcms(g)
+    c, k = max(abs(x) for axis in cuts for x in axis), max(ux, vy)
+    near, far = c + s + 4, c + 2 * s + 4
+    reach = max(far, c + 2 * k + s)
+    grid = brute.box_grid(fn, near)
+    real, read = _Analysis.windows, []
+
+    def counted(self, *args):
+        keys = list(real(self, *args))
+        read.append(len(keys))
+        return iter(keys)
+
+    monkeypatch.setattr(_Analysis, "windows", counted)
+    for w in range(1, 5):
+        for h in range(1, 5):
+            read.clear()
+            assert rect_window_keys(g, w, h) == brute.window_keys(grid, w, h), (w, h)
+            xs, ys = g._index.corner_box(w, h)
+            assert sum(read) < sum(map(len, xs)) * sum(map(len, ys)), (w, h)  # runs were cut
+    monkeypatch.undo()
+    for offsets in SPARSE_SHAPES:
+        seen = sorted({tuple(grid[x + dx][y + dy] for dx, dy in offsets)
+                       for x in range(len(grid) - 2) for y in range(len(grid) - 2)})
+        for drop in (None, rng.choice(seen)):
+            allowed = frozenset(seen) - {drop}
+            ts = TileSet.from_allowed(g.alphabet, [Pattern(g.alphabet, dict(zip(offsets, combo))) for combo in allowed])
+            assert is_valid(g, ts) == brute.grid_ok([(offsets, allowed)], grid), (offsets, drop)
+    big = brute.box_grid(fn, reach)
+
+    def cells(x, y):
+        return big[x + reach][y + reach]
+
+    lat = period_lattice(g)
+    assert lat.rank == brute.lattice_rank(cells, reach, k)
+    twin = doubled(g)
+    for dx in range(-ux, ux + 1):
+        for dy in range(-vy, vy + 1):
+            want = brute.is_period(cells, (dx, dy), reach)
+            assert lat.contains((dx, dy)) == want, (dx, dy)
+            assert equal(g, shift(g, (dx, dy))) == want, (dx, dy)
+            assert equal(g, shift(twin, (dx, dy))) == want, (dx, dy)
+    t = type_of(g)
+    assert isinstance(t, TypeB) == (lat.rank == 0)
+    if isinstance(t, TypeB):
+        witness = {(v.x, v.y): state for v, state in t.witness.cells.items()}
+        assert oracle_occurrences(cells, witness, near, far) == Finite(1)
+
+
+def test_planes_without_faster_blocks_read_the_corner_box_once(members, stripes, monkeypatch):
+    """Where every block repeats with its band's step no run can be cut, so
+    each key-set build is one read of the corner box: the corpus planes and
+    tall a_i and b_i on either axis."""
+    real, reads = _Analysis.windows, []
+
+    def counted(self, w, h, xs, ys):
+        reads.append((w, h, xs, ys))
+        return real(self, w, h, xs, ys)
+
+    monkeypatch.setattr(_Analysis, "windows", counted)
+    al = stripes.alphabet
+    tall = [make_a(al, 5000), make_b(al, 3000), transpose(make_a(al, 50))]
+    for g in [replace(p) for p in members.values()] + tall:  # fresh planes, no keys built yet
+        a = g._index
+        assert not a.local
+        reads.clear()
+        for w in range(1, 4):
+            for h in range(1, 4):
+                rect_window_keys(g, w, h)
+                rect_window_keys(g, w, h)
+        assert reads == [(w, h, *a.corner_box(w, h)) for w in range(1, 4) for h in range(1, 4)]
+
+
+def test_tall_band_period_tests_read_as_many_cells_at_any_height(stripes, monkeypatch):
+    """A period test compares two joint steps of the overlap of a tall band
+    with its shifted copy, so the period lattices of a_i and b_i, on either
+    axis, read as many cells at i = 50 as at i = 5000, in as many reads."""
+    real, read = _Analysis.column, []
+
+    def counted(self, *args):
+        col = real(self, *args)
+        read.append(len(col))
+        return col
+
+    monkeypatch.setattr(_Analysis, "column", counted)
+
+    def cells(i):
+        out = []
+        for make in (make_a, make_b):
+            for g in (make(stripes.alphabet, i), transpose(make(stripes.alphabet, i))):
+                read.clear()
+                period_lattice(g)
+                out.append((len(read), sum(read)))
+        return out
+
+    assert cells(50) == cells(5000)
+
+
+@pytest.mark.parametrize("tall", [12, 40])
+def test_band_overlaps_keep_two_joint_steps_from_their_own_start(tall):
+    """Period tests and equality skip all but the first two joint steps of
+    each overlap of middle bands, so an overlap read one joint step short,
+    or from the wrong shift, misses a lone mismatch: g and h differ only at
+    rows 2 mod 3 of their middle band, and shifting p by (0, 3) changes only
+    row 2, which lies above the overlap of p's band with its shifted copy
+    and would sit inside one taken with the shift's sign flipped."""
+    al = Alphabet(("w", "g"))
+    w, wwg = Block.filled(1, 1, 0), Block(1, 3, ((0, 0, 1),))
+    g = GridPresentation(al, (), (0, tall), ((w, wwg, w),))
+    h = GridPresentation(al, (), (0, tall), ((w, w, w),))
+    p = GridPresentation(al, (), (0, tall), ((wwg, w, w),))
+    assert [cell_at(p, (0, y)) for y in (2, -1)] == [0, 1]
+    for flip in (lambda q: q, transpose):
+        assert not equal(flip(g), flip(h)) and not equal(flip(h), flip(g))
+        assert equal(flip(g), flip(g)) and equal(flip(h), shift(flip(h), (5, 5)))
+    assert period_lattice(p) == PeriodLattice(1, (Vec2(1, 0),))
+    assert period_lattice(transpose(p)) == PeriodLattice(1, (Vec2(0, 1),))
