@@ -179,12 +179,9 @@ def _corners(cuts: tuple[int, ...], w: int, lo: int, hi: int, mids=()) -> tuple[
 def _runs(cuts: tuple[int, ...], w: int, box: tuple[range, ...]) -> list[tuple[range, int, int]]:
     """box's corners cut at c - w + 1 and c for each cut c, as (run, first band,
     last band): the length-w windows at one run's corners touch the same bands."""
-    edges, runs = sorted({e for c in cuts for e in (c - w + 1, c)}), []
-    for r in box:
-        inner = [e for e in edges if r.start < e < r.stop]
-        for lo, hi in zip([r.start, *inner], [*inner, r.stop]):
-            runs.append((range(lo, hi), bisect_right(cuts, lo), bisect_right(cuts, lo + w - 1)))
-    return runs
+    edges = sorted({e for c in cuts for e in (c - w + 1, c)})
+    bounds = ([r.start, *(e for e in edges if r.start < e < r.stop), r.stop] for r in box)
+    return [(range(lo, hi), bisect_right(cuts, lo), bisect_right(cuts, lo + w - 1)) for es in bounds for lo, hi in zip(es, es[1:])]
 
 
 def _copies(mids, w: int, c: int) -> int:
@@ -232,9 +229,9 @@ class _Analysis:
         """The cells of column x at each range of rows in turn, filled y-band by y-band from the blocks' own columns."""
         blocks, ycuts, col = self.regions[bisect_right(self.xcuts, x)], self.ycuts, []
         for r in rows:
-            edges = [r.start, *(c for c in ycuts if r.start < c < r.stop), r.stop]
-            for lo, hi in zip(edges, edges[1:]):
-                b = blocks[bisect_right(ycuts, lo)]
+            i = bisect_right(ycuts, r.start)
+            edges = [r.start, *ycuts[i:bisect_right(ycuts, r.stop - 1)], r.stop]
+            for b, lo, hi in zip(blocks[i:], edges, edges[1:]):
                 s, n = lo % b.v, hi - lo
                 col += (b.data[x % b.u] * ((s + n) // b.v + 1))[s:s + n]
         return col
@@ -457,10 +454,12 @@ def _agree(a1: _Analysis, a2: _Analysis, xcuts, ycuts, steps, v: Vec2) -> bool:
     with steps (left, right, bottom, top): the cells of the corner range at
     w = 1 on each axis, one read per column.  Both planes repeat across an
     overlap of their middle bands with the lcm m of the two steps, so the
-    range keeps only its first 2m rows or columns (`_corners`)."""
-    xm, ym = ([(lo, hi, m) for a, b, s in m1 for c, e, t in m2  # overlaps of middle bands that can clip
-               if (hi := min(b, e + d)) - (lo := max(a, c + d)) > 2 * (m := lcm(s, t))]
-              for m1, m2, d in zip(a1.mids, a2.mids, v))
+    range keeps only its first 2m rows or columns (`_corners`) where that
+    skips more than 16: one more range costs a read about what a few dozen
+    cells do, so a short band is read whole."""
+    xm, ym = [[(lo, hi, m) for a, b, s in m1 for c, e, t in m2
+               if (hi := min(b, e + d)) - (lo := max(a, c + d)) - 2 * (m := lcm(s, t)) > 16]
+              for m1, m2, d in zip(a1.mids, a2.mids, v)]
     xs, ys = _corners(xcuts, 1, *steps[:2], xm), _corners(ycuts, 1, *steps[2:], ym)
     moved = [range(r.start - v.y, r.stop - v.y) for r in ys]
     return all(a1.column(x, *ys) == a2.column(x - v.x, *moved) for x in chain.from_iterable(xs))

@@ -758,8 +758,9 @@ def test_windows_at_any_corner_ranges_match_oracle(seed):
 
 def local_plane(rng):
     """(presentation, plane fn, per-axis cut lists, largest band step): 2-3
-    states, 1-2 x-cuts and 2 y-cuts whose middle band is 2m + 4 to 2m + 12
-    tall (m its step), transposed half the time.  Within a band the blocks'
+    states, 1-2 x-cuts and 2 y-cuts whose middle band is 2m + 24 to 2m + 32
+    tall (m its step), so that period tests clip its overlaps with its
+    shifted copies, transposed half the time.  Within a band the blocks'
     periods along its axis are pairwise coprime (drawn from 1, 2, 3), so
     blocks repeat faster than their band and scans cut their runs.  A
     quarter of the planes repeat one x-band's blocks in every x-band, so
@@ -773,7 +774,7 @@ def local_plane(rng):
         raw = [raw[0]] * len(raw)
     steps = [math.lcm(*map(len, col)) for col in raw] + [math.lcm(*(len(col[iy][0]) for col in raw)) for iy in range(3)]
     y0 = rng.randint(-3, 0)
-    ycuts = [y0, y0 + 2 * steps[-2] + rng.randint(4, 12)]
+    ycuts = [y0, y0 + 2 * steps[-2] + rng.randint(24, 32)]
     regions = tuple(tuple(Block(len(d), len(d[0]), d) for d in col) for col in raw)
     g = GridPresentation(Alphabet(tuple(f"s{i}" for i in range(k))), tuple(xcuts), tuple(ycuts), regions)
 
@@ -897,10 +898,10 @@ def test_tall_band_period_tests_read_as_many_cells_at_any_height(stripes, monkey
     assert cells(50) == cells(5000)
 
 
-@pytest.mark.parametrize("tall", [12, 40])
+@pytest.mark.parametrize("tall", [30, 300])
 def test_band_overlaps_keep_two_joint_steps_from_their_own_start(tall):
     """Period tests and equality skip all but the first two joint steps of
-    each overlap of middle bands, so an overlap read one joint step short,
+    each long overlap of middle bands, so an overlap read one joint step short,
     or from the wrong shift, misses a lone mismatch: g and h differ only at
     rows 2 mod 3 of their middle band, and shifting p by (0, 3) changes only
     row 2, which lies above the overlap of p's band with its shifted copy
@@ -916,3 +917,25 @@ def test_band_overlaps_keep_two_joint_steps_from_their_own_start(tall):
         assert equal(flip(g), flip(g)) and equal(flip(h), shift(flip(h), (5, 5)))
     assert period_lattice(p) == PeriodLattice(1, (Vec2(1, 0),))
     assert period_lattice(transpose(p)) == PeriodLattice(1, (Vec2(0, 1),))
+
+
+def test_short_band_period_tests_read_one_range_per_column(stripes, monkeypatch):
+    """Clipping an overlap of bands costs each column read one more range of
+    rows, so it is done only where it skips over half the range: the period
+    tests of the family's a_i and b_i, whose bands are 1 to 10 tall, read
+    one range per column, while a_50's are clipped."""
+    real, ranges = _Analysis.column, []
+
+    def counted(self, x, *rows):
+        ranges.append(len(rows))
+        return real(self, x, *rows)
+
+    monkeypatch.setattr(_Analysis, "column", counted)
+    for i in range(1, 11):
+        for g in (make_a(stripes.alphabet, i), make_b(stripes.alphabet, i)):
+            ranges.clear()
+            period_lattice(g)
+            assert set(ranges) == {1}, i
+    ranges.clear()
+    period_lattice(make_a(stripes.alphabet, 50))
+    assert max(ranges) == 2
