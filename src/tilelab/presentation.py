@@ -181,7 +181,8 @@ def _runs(cuts: tuple[int, ...], w: int, box: tuple[range, ...]) -> list[tuple[r
     last band): the length-w windows at one run's corners touch the same bands."""
     edges = sorted({e for c in cuts for e in (c - w + 1, c)})
     bounds = ([r.start, *(e for e in edges if r.start < e < r.stop), r.stop] for r in box)
-    return [(range(lo, hi), bisect_right(cuts, lo), bisect_right(cuts, lo + w - 1)) for es in bounds for lo, hi in zip(es, es[1:])]
+    return [(range(lo, hi), bisect_right(cuts, lo), bisect_right(cuts, lo + w - 1))
+            for es in bounds for lo, hi in zip(es, es[1:])]
 
 
 def _copies(mids, w: int, c: int) -> int:
@@ -458,10 +459,10 @@ def _agree(a1: _Analysis, a2: _Analysis, xcuts, ycuts, steps, v: Vec2) -> bool:
     skips more than 16: one more range costs a read about what a few dozen
     cells do, so a short band is read whole."""
     xm, ym = [[(lo, hi, m) for a, b, s in m1 for c, e, t in m2
-               if (hi := min(b, e + d)) - (lo := max(a, c + d)) - 2 * (m := lcm(s, t)) > 16]
+               if (hi := min(b, e + d)) - (lo := max(a, c + d)) - 2 * (m := lcm(s, t)) > 16] if m1 and m2 else []
               for m1, m2, d in zip(a1.mids, a2.mids, v)]
     xs, ys = _corners(xcuts, 1, *steps[:2], xm), _corners(ycuts, 1, *steps[2:], ym)
-    moved = [range(r.start - v.y, r.stop - v.y) for r in ys]
+    moved = [range(r.start - v.y, r.stop - v.y) for r in ys] if v.y else ys
     return all(a1.column(x, *ys) == a2.column(x - v.x, *moved) for x in chain.from_iterable(xs))
 
 
