@@ -18,7 +18,6 @@ from .presentation import (
     _dims_ascending,
     _key_pattern,
     _occurrence_scan,
-    _settled_size,
     period_lattice,
 )
 from .order import TilingFamily, equivalence_classes
@@ -29,7 +28,7 @@ def _search_bounds(f: TilingFamily, g: GridPresentation) -> tuple[int, int]:
     member's settled size (its cut span plus two lcm periods).  That is no
     saturation bound: a larger window can still isolate the member, so ranks
     can move with `--window` (README, "Windows and stabilization")."""
-    m = _settled_size(g)
+    m = g._settled
     return max(f.window, m.x), max(f.window, m.y)
 
 

@@ -17,14 +17,14 @@ import argparse
 import functools
 import json
 import sys
-from itertools import islice
+from itertools import islice, permutations
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .cb import ranks
 from .core import _PAIR_CELLS, Alphabet, Pattern, TileSet, TorusTiling, Vec2, to_forbidden
 from .lang import _square_count, extensible_squares
-from .order import TilingFamily, hasse, level_of, maximal_classes, minimal_classes, preceq
+from .order import TilingFamily, hasse, level_of, maximal_classes, minimal_classes
 from .presentation import Block, GridPresentation, TypeB, is_valid, period_lattice, type_of
 from .solver import Empty, PeriodicFound, classify, enumerate_torus, weak_periodic_witness
 
@@ -128,25 +128,20 @@ def parse_presentation(path, alphabet: Alphabet) -> GridPresentation:
     lines = _content_lines(path)
     if not lines or lines[0][1] != ["presentation"]:
         raise ParseError(path, lines[0][0] if lines else 1, "missing presentation header")
-    xcuts: tuple[int, ...] | None = None
-    ycuts: tuple[int, ...] | None = None
+    cuts: dict[str, tuple[int, ...]] = {}  # by head, xcuts or ycuts
     blocks: dict[tuple[int, int], Block] = {}
     rest = islice(lines, 1, None)
     for no, toks in rest:
         head, args = toks[0], toks[1:]
         if head in ("xcuts", "ycuts"):
-            if (xcuts if head == "xcuts" else ycuts) is not None:
+            if head in cuts:
                 raise ParseError(path, no, f"duplicate {head} line")
             try:
-                cuts = tuple(map(int, args))
+                cs = cuts[head] = tuple(map(int, args))
             except ValueError:
                 raise ParseError(path, no, f"{head} takes integers") from None
-            if any(a >= b for a, b in zip(cuts, cuts[1:])):
+            if any(a >= b for a, b in zip(cs, cs[1:])):
                 raise ParseError(path, no, f"{head} must be strictly increasing")
-            if head == "xcuts":
-                xcuts = cuts
-            else:
-                ycuts = cuts
         elif head == "region":
             try:
                 ix, iy, u, v = map(int, args)
@@ -166,8 +161,7 @@ def parse_presentation(path, alphabet: Alphabet) -> GridPresentation:
             blocks[(ix, iy)] = Block(u, v, tuple(zip(*reversed(rows))))  # data[x][y] reads rows[v - 1 - y][x]
         else:
             raise ParseError(path, no, f"unknown directive {head!r}")
-    xcuts = xcuts or ()
-    ycuts = ycuts or ()
+    xcuts, ycuts = cuts.get("xcuts", ()), cuts.get("ycuts", ())
     for ix in range(len(xcuts) + 1):
         for iy in range(len(ycuts) + 1):
             if (ix, iy) not in blocks:
@@ -358,12 +352,14 @@ def _dot(h) -> str:
 
 
 def _unstable_pairs(f: TilingFamily) -> list[list[str]]:
-    """Representatives (a, b) included at f.window, not at f.window + 1 (inclusion at n + 1 implies it
-    at n).  None is lost from N on, nor below N by a pair in order, which holds up to N."""
-    reps, above = [(cls[0], f.presentation(cls[0])) for cls in f._classes], f._order.above
-    return [[a, b] for i, (a, ga) in enumerate(reps) for j, (b, gb) in enumerate(reps)
-            if i != j and j not in above[i] and f.window < f.compare_window(a, b)
-            and preceq(ga, gb, f.window) and not preceq(ga, gb, f.window + 1)]
+    """Representatives (a, b) included at n = f.window, not at n + 1 (inclusion at n + 1 implies it
+    at n).  None is lost from N on, nor below N by a pair in order, which holds up to N.  Each
+    representative's n-window set is read once, its (n + 1) set only for a pair included at n."""
+    n, reps, above = f.window, [f.presentation(cls[0])._index for cls in f._classes], f._order.above
+    now = [a.rect_keys(n, n) for a in reps] if n < f._n else []
+    return [[f._classes[i][0], f._classes[j][0]] for i, j in permutations(range(len(now)), 2)
+            if j not in above[i] and now[i] <= now[j]
+            and not reps[i].rect_keys(n + 1, n + 1) <= reps[j].rect_keys(n + 1, n + 1)]
 
 
 def _cmd_order(ts: TileSet, args) -> int:

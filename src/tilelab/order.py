@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .core import TileSet
-from .presentation import GridPresentation, _settled_size, is_valid
+from .presentation import GridPresentation, is_valid
 
 
 def preceq(x: GridPresentation, y: GridPresentation, n: int) -> bool:
@@ -28,7 +28,7 @@ def preceq(x: GridPresentation, y: GridPresentation, n: int) -> bool:
 
 def saturation_window(g: GridPresentation) -> int:
     """Size from which the window language pins the plane's banded structure."""
-    return max(_settled_size(g)) + 1
+    return max(g._settled) + 1
 
 
 class TilingFamily:
@@ -55,7 +55,11 @@ class TilingFamily:
         self.window = window
         self.members = members
         self._pres = dict(members)
-        self._n = max([window] + [saturation_window(pres) for _, pres in members])
+
+    @cached_property
+    def _n(self) -> int:
+        """The comparison size N, found on first use unless a parent family set it (`_without`)."""
+        return max([self.window] + [saturation_window(pres) for _, pres in self.members])
 
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.members)
@@ -90,8 +94,8 @@ class TilingFamily:
         return _Preorder(self)
 
     def _without(self, gone) -> "TilingFamily":
-        """The family less the gone members, keeping this family's comparison
-        size N, so it reads window sets its planes have already built."""
+        """The family less the gone members, keeping this family's comparison size N:
+        it derives no saturation size and reads window sets its planes have built."""
         keep = [(n, p) for n, p in self.members if n not in gone]
         sub = TilingFamily(self.tileset, keep, self.window, validate=False)
         sub._n = self._n

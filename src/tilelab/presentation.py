@@ -122,8 +122,13 @@ class GridPresentation:
                     return PeriodLattice(2, (Vec2(a, b), Vec2(0, c0)))
         raise AssertionError("unreachable: (ux, 0) is a period")
 
+    @cached_property
+    def _settled(self) -> Vec2:
+        """Per axis, the cut span plus two lcm periods, found on first use; not a field either."""
+        return Vec2(*(s + 2 * l for s, l in zip(cut_spans(self), block_lcms(self))))
+
     def __reduce__(self):
-        # copies and pickles rebuild from the fields, never carrying an index or a lattice
+        # copies and pickles rebuild from the fields, never carrying an index, a lattice or a size
         return GridPresentation, (self.alphabet, self.xcuts, self.ycuts, self.regions)
 
 
@@ -147,32 +152,25 @@ def block_lcms(g: GridPresentation) -> Vec2:
 
 
 def cut_spans(g: GridPresentation) -> Vec2:
-    xs = g.xcuts[-1] - g.xcuts[0] if g.xcuts else 0
-    ys = g.ycuts[-1] - g.ycuts[0] if g.ycuts else 0
-    return Vec2(xs, ys)
-
-
-def _settled_size(g: GridPresentation) -> Vec2:
-    """Per axis, the cut span plus two lcm periods."""
-    return Vec2(*(s + 2 * l for s, l in zip(cut_spans(g), block_lcms(g))))
+    return Vec2(*(cuts[-1] - cuts[0] if cuts else 0 for cuts in (g.xcuts, g.ycuts)))
 
 
 def _corners(cuts: tuple[int, ...], w: int, lo: int, hi: int, mids=()) -> tuple[range, ...]:
     """Nonempty increasing corner ranges on one axis whose length-w runs
     realize every run content of a plane cut at cuts that repeats with step
-    lo below them and hi above: every straddling corner, one step deep into
-    each extreme band (one step's worth with no cut, then lo == hi).  A run
-    at a corner in a..b - w of middle band (a, b, m) in mids repeats under m:
-    over 2m such corners are cut to the first 2m, so a repeating run keeps
-    two copies m apart, and kept c stands for c, c + 2m, ... <= b - w."""
+    lo below them and hi above: every straddling corner, then exactly lo of
+    the low band's and hi of the high band's (lo with no cut, then lo == hi).
+    A run at a corner in a..b - w of middle band (a, b, m) in mids repeats
+    under m: over 2m such corners are cut to the first 2m, so a repeating
+    run keeps two copies m apart, and kept c stands for c, c + 2m, ... <= b - w."""
     if not cuts:
         return (range(0, lo),)
-    kept, start = [], min(cuts) - w - lo
+    kept, start = [], min(cuts) - w - lo + 1
     for a, b, m in mids:
         if b - w - a >= 2 * m:
             kept.append(range(start, a + 2 * m))
             start = b - w + 1
-    last = range(start, max(cuts) + hi + 1)
+    last = range(start, max(cuts) + hi)
     return (*kept, last) if last else tuple(kept)
 
 
@@ -195,7 +193,7 @@ class _Analysis:
     column classes asked for, per run height and kept row ranges, and the
     coded window-key sets asked for so far."""
 
-    __slots__ = ("xcuts", "ycuts", "regions", "xsteps", "steps", "mids", "local", "k", "keys", "codes")
+    __slots__ = ("xcuts", "ycuts", "regions", "xsteps", "steps", "mids", "long", "local", "k", "keys", "codes")
 
     def __init__(self, g: GridPresentation):
         # the plane's parts, not the plane: no reference cycle, so the index dies with its plane
@@ -210,6 +208,8 @@ class _Analysis:
         # per axis, (a, b, m) for each middle band [a, b) of step m that can clip: b - a > 2m
         self.mids = tuple([(a, b, m) for a, b, m in zip(cuts, cuts[1:], steps[1:-1]) if b - a > 2 * m]
                           for cuts, steps in ((g.xcuts, self.xsteps), (g.ycuts, ysteps)))
+        # whether a period test can clip an overlap of a middle band, which must be over 2m + 16 long (`_agree`)
+        self.long = any(b - a - 2 * m > 16 for ms in self.mids for a, b, m in ms)
         self.k = len(g.alphabet)
         self.keys: dict[tuple[int, int], frozenset] = {}
         self.codes: dict[tuple, dict[tuple[int, int], list[int]]] = {}  # (h, ys) -> (x-band, x mod step) -> codes
@@ -220,9 +220,9 @@ class _Analysis:
         A window inside an extreme band repeats under that band's step along
         its axis, whatever it crosses on the other: every block it reads lies
         in that band, has its period dividing the step, and is anchored at the
-        origin.  So corners one step deep into each extreme band (one step's
-        worth with no cut) plus the straddling ones cover every content, and a
-        tall middle band keeps two steps of inside corners (`_corners`)."""
+        origin.  So exactly one step of corners inside each extreme band (one
+        step's worth with no cut) plus the straddling ones cover every content,
+        and a tall middle band keeps two steps of inside corners (`_corners`)."""
         xm, ym = self.mids
         return _corners(self.xcuts, w, *self.steps[:2], xm), _corners(self.ycuts, h, *self.steps[2:], ym)
 
@@ -456,11 +456,11 @@ def _agree(a1: _Analysis, a2: _Analysis, xcuts, ycuts, steps, v: Vec2) -> bool:
     w = 1 on each axis, one read per column.  Both planes repeat across an
     overlap of their middle bands with the lcm m of the two steps, so the
     range keeps only its first 2m rows or columns (`_corners`) where that
-    skips more than 16: one more range costs a read about what a few dozen
-    cells do, so a short band is read whole."""
+    skips more than 16 (only with a `_Analysis.long` band in each plane): one
+    more range costs a read about what a few dozen cells do."""
     xm, ym = [[(lo, hi, m) for a, b, s in m1 for c, e, t in m2
-               if (hi := min(b, e + d)) - (lo := max(a, c + d)) - 2 * (m := lcm(s, t)) > 16] if m1 and m2 else []
-              for m1, m2, d in zip(a1.mids, a2.mids, v)]
+               if (hi := min(b, e + d)) - (lo := max(a, c + d)) - 2 * (m := lcm(s, t)) > 16]
+              for m1, m2, d in zip(a1.mids, a2.mids, v)] if a1.long and a2.long else ((), ())
     xs, ys = _corners(xcuts, 1, *steps[:2], xm), _corners(ycuts, 1, *steps[2:], ym)
     moved = [range(r.start - v.y, r.stop - v.y) for r in ys] if v.y else ys
     return all(a1.column(x, *ys) == a2.column(x - v.x, *moved) for x in chain.from_iterable(xs))
@@ -564,8 +564,8 @@ def type_of(g: GridPresentation):
     xspan, yspan = cut_spans(g)
     a = g._index
     for w, h in _dims_ascending(3 * xspan + 4 * ux - 2, 3 * yspan + 4 * vy - 2):
-        # step -1: corners from the first cut - w + 1 to the last cut - 1, clipped like the box
-        cxs, cys = _corners(g.xcuts, w, -1, -1, a.mids[0]), _corners(g.ycuts, h, -1, -1, a.mids[1])
+        # steps 0: corners from the first cut - w + 1 to the last cut - 1, clipped like the box
+        cxs, cys = _corners(g.xcuts, w, 0, 0, a.mids[0]), _corners(g.ycuts, h, 0, 0, a.mids[1])
         if not cxs or not cys:
             continue
         once = {key for key, n in Counter(a.windows(w, h, cxs, cys)).items() if n == 1}

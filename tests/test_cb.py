@@ -426,6 +426,28 @@ def unfiltered_unstable_pairs(f):
             if a != b and preceq(ga, gb, f.window) and not preceq(ga, gb, f.window + 1)]
 
 
+def test_unstable_pairs_match_the_pairwise_definition(family6):
+    """The `order` probe compares each class representative's W-window set
+    with the others' as sets and reads (W + 1)-window sets only for pairs
+    included at W.  It lists exactly the ordered pairs of representatives with
+    preceq at W and not at W + 1, on seeded random families (some with a tall
+    member) and on the corpus family, at every window from the tile set's
+    largest constraint extent to N + 1."""
+    rng = random.Random(2611)
+    bases = [random_family(rng, range(-4, 5), 3, 3, tall=rng.choice((0, 0, 9)))[0] for _ in range(40)]
+    unstable = stable = 0
+    for base in [*bases, family6]:
+        ts = base.tileset
+        for window in range(max(ts.hextent, ts.vextent), base._n + 2):
+            f = TilingFamily(ts, base.members, window, validate=False)
+            pairs = _unstable_pairs(f)
+            assert pairs == unfiltered_unstable_pairs(f), window
+            unstable += len(pairs)
+            stable += not pairs
+        assert not _unstable_pairs(TilingFamily(ts, base.members, base._n, validate=False))
+    assert unstable > 100 and stable > 40, (unstable, stable)
+
+
 def test_order_filtered_work_matches_the_unfiltered_computation(monkeypatch):
     """Windows up to N x N of a class lie in every class above it, and every
     search bound is at most N: so the stabilization probe may skip ordered

@@ -585,7 +585,7 @@ def test_periods_to_eleven_plane_scans_a_per_band_box():
     assert g._index.steps == (77, 45, 77, 72)
     for w, h in ((1, 1), (2, 3), (5, 4)):
         (xs,), (ys,) = g._index.corner_box(w, h)  # no middle band: one range per axis
-        assert (len(xs), len(ys)) == (w + 123, h + 150)
+        assert (len(xs), len(ys)) == (w + 121, h + 148)
     free = TileSet.dominoes(al, [(x, y) for x in al.tokens for y in al.tokens], [])
     assert is_valid(g, free)
     assert period_lattice(g) == PeriodLattice(0, ())
@@ -730,7 +730,7 @@ def test_tall_band_index_holds_as_many_codes_at_any_height(stripes):
 @pytest.mark.parametrize("seed", range(6))
 def test_windows_at_any_corner_ranges_match_oracle(seed):
     """One index per plane serves, at each (w, h) in turn, the scan box,
-    type_of's straddling ranges (step -1) and single corners; each read,
+    type_of's straddling ranges (steps 0) and single corners; each read,
     decoded, lists the oracle grid's windows at those corners in order.  A
     code cache keyed without its rows would answer a later read with an
     earlier read's rows."""
@@ -742,7 +742,7 @@ def test_windows_at_any_corner_ranges_match_oracle(seed):
             for h in range(1, 5):
                 reads = [a.corner_box(w, h)]
                 if g.xcuts and g.ycuts:  # as in type_of, which runs only with cuts on both axes
-                    reads.append((_corners(g.xcuts, w, -1, -1, a.mids[0]), _corners(g.ycuts, h, -1, -1, a.mids[1])))
+                    reads.append((_corners(g.xcuts, w, 0, 0, a.mids[0]), _corners(g.ycuts, h, 0, 0, a.mids[1])))
                 for _ in range(3):
                     x, y = rng.randint(-45, 45), rng.randint(-45, 45)
                     reads.append(((range(x, x + 1),), (range(y, y + 1),)))
@@ -847,6 +847,66 @@ def test_local_planes_match_oracle(seed, monkeypatch):
     if isinstance(t, TypeB):
         witness = {(v.x, v.y): state for v, state in t.witness.cells.items()}
         assert oracle_occurrences(cells, witness, near, far) == Finite(1)
+
+
+# ------------------------------------------ one-step corner boxes against the oracle
+
+@pytest.mark.parametrize("seed", range(10))
+def test_corner_boxes_hold_one_extreme_step_and_match_oracle(seed):
+    """On a banded, a tall and a local plane per seed, each side of every
+    corner box holds exactly its extreme band's step of corners inside that
+    band, one per residue of the step (the step read off the band's blocks:
+    the lcm of their periods along the axis; one step's worth of corners on
+    an axis without cuts).  Window keys, occurrences, periods and the type-B
+    witness still match the oracle, at reaches derived from the cuts and the
+    global block lcm L alone: with cuts within c of 0 and windows at most 4
+    long, every content has a copy with its corner within c + L of 0, a
+    finite occurrence lies within c + 4, an infinite family has a copy
+    within near = c + L + 4 and another within near + L, and a shift by v
+    with |v| <= L agrees with the plane everywhere when it does on
+    [-c - 2L, c + 2L], which the oracle compares at reach c + 3L."""
+    rng = random.Random(f"one-step/{seed}")
+    for g, fn in (banded_plane(rng), tall_plane(rng), local_plane(rng)[:2]):
+        cols = g.regions
+        steps = [math.lcm(*(b.u for b in cols[0])), math.lcm(*(b.u for b in cols[-1])),
+                 math.lcm(*(col[0].v for col in cols)), math.lcm(*(col[-1].v for col in cols))]
+        for w in range(1, 5):
+            for h in range(1, 5):
+                for n, cuts, rs, (lo, hi) in zip((w, h), (g.xcuts, g.ycuts), g._index.corner_box(w, h),
+                                                   (steps[:2], steps[2:])):
+                    corners = list(chain(*rs))
+                    sides = ([c for c in corners if c + n - 1 < cuts[0]], [c for c in corners if c >= cuts[-1]]) \
+                        if cuts else (corners,)
+                    for side, step in zip(sides, (lo, hi)):
+                        assert len(side) == len({c % step for c in side}) == step, (seed, n, cuts, step)
+        L = max(math.lcm(*(b.u for col in cols for b in col)), math.lcm(*(b.v for col in cols for b in col)))
+        c = max((abs(x) for x in g.xcuts + g.ycuts), default=0)
+        near, far, reach = c + L + 4, c + 2 * L + 4, c + 3 * L + 4
+        big = brute.box_grid(fn, reach)
+
+        def cells(x, y):
+            return big[x + reach][y + reach]
+
+        grid = brute.box_grid(cells, near)
+        for w in range(1, 5):
+            for h in range(1, 5):
+                assert rect_window_keys(g, w, h) == brute.window_keys(grid, w, h), (seed, w, h)
+        for i in range(6):
+            w, h = rng.randint(1, 3), rng.randint(1, 3)
+            cx, cy = rng.randint(-c - 3, c), rng.randint(-c - 3, c)
+            pat = {(dx, dy): cells(cx + dx, cy + dy) for dx in range(w) for dy in range(h)}
+            if i % 3 == 2:
+                pat[rng.choice(sorted(pat))] = rng.randrange(len(g.alphabet))
+            assert occurrences(g, Pattern(g.alphabet, pat)) == oracle_occurrences(cells, pat, near, far), (seed, pat)
+        lat = period_lattice(g)
+        assert lat.rank == brute.lattice_rank(cells, reach, L), seed
+        for v in ((dx, dy) for dx in range(-L, L + 1) for dy in range(-L, L + 1)):
+            assert lat.contains(v) == brute.is_period(cells, v, reach), (seed, v)
+        t = type_of(g)
+        assert isinstance(t, TypeB) == (lat.rank == 0)
+        if isinstance(t, TypeB):
+            witness = {(v.x, v.y): state for v, state in t.witness.cells.items()}
+            assert oracle_occurrences(cells, witness, near, far) == Finite(1), seed
 
 
 def test_planes_without_faster_blocks_read_the_corner_box_once(members, stripes, monkeypatch):
