@@ -1,4 +1,5 @@
 import gc
+import math
 import sys
 from pathlib import Path
 
@@ -72,6 +73,13 @@ def corpus_planes(imax=6):
 def live_indexes():
     """How many plane scan indexes are alive in the process."""
     return sum(isinstance(o, _Analysis) for o in gc.get_objects())
+
+
+def raw_lcms(g):
+    """(x, y): the lcm of every block's period along each axis, read off the
+    raw blocks, not off the scan index, for oracle reaches."""
+    blocks = [b for col in g.regions for b in col]
+    return math.lcm(*(b.u for b in blocks)), math.lcm(*(b.v for b in blocks))
 
 
 def order_reads(monkeypatch):

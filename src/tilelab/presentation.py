@@ -5,11 +5,14 @@ product with a periodic block, anchored at the global origin.  Everything a
 band structure can ask (window languages, occurrence counts, period lattices,
 recurrence type) reduces to finite scans, each as deep as the blocks it reads
 repeat; the arguments are spelled out at the functions that rely on them.
+Each axis's band geometry (its cuts, band steps, clippable middle bands, cut
+span and lcm of steps) is one record, `_Axis`, built once per axis with the
+plane's index, and every scan reads the index's (x, y) pair of them.
 Positions and counts read the corner box: the band spans plus one step of each
 extreme band (the lcm of its blocks' periods), a tall middle band cut to two
-steps of inside corners (`_corners`), which `occurrences` counts back.  Window
+steps of inside corners (`_Axis.box`), which `occurrences` counts back.  Window
 contents read only each run's own blocks' lcm (`content_boxes`), and period
-tests two joint steps where middle bands overlap (`_agree`).
+tests two joint steps where middle bands overlap (`_Axis.joint`).
 
 Every scan reads its plane's index (`_Analysis`, the plane's `_index`).  A
 column of the plane depends only on its class, its x-band and x modulo that
@@ -125,7 +128,7 @@ class GridPresentation:
     @cached_property
     def _settled(self) -> Vec2:
         """Per axis, the cut span plus two lcm periods, found on first use; not a field either."""
-        return Vec2(*(s + 2 * l for s, l in zip(cut_spans(self), block_lcms(self))))
+        return Vec2(*(ax.span + 2 * ax.lcm for ax in self._index.axes))
 
     def __reduce__(self):
         # copies and pickles rebuild from the fields, never carrying an index, a lattice or a size
@@ -143,16 +146,9 @@ def cell_at(g: GridPresentation, v) -> int:
 
 
 def block_lcms(g: GridPresentation) -> Vec2:
-    """Componentwise lcm of block periods; the whole plane repeats with these
-    steps inside any single unbounded band."""
-    return Vec2(
-        lcm(*(b.u for col in g.regions for b in col)),
-        lcm(*(b.v for col in g.regions for b in col)),
-    )
-
-
-def cut_spans(g: GridPresentation) -> Vec2:
-    return Vec2(*(cuts[-1] - cuts[0] if cuts else 0 for cuts in (g.xcuts, g.ycuts)))
+    """Componentwise lcm of block periods (of band steps, `_Axis.lcm`); the whole
+    plane repeats with these steps inside any single unbounded band."""
+    return Vec2(*(ax.lcm for ax in g._index.axes))
 
 
 def _corners(cuts: tuple[int, ...], w: int, lo: int, hi: int, mids=()) -> tuple[range, ...]:
@@ -174,42 +170,70 @@ def _corners(cuts: tuple[int, ...], w: int, lo: int, hi: int, mids=()) -> tuple[
     return (*kept, last) if last else tuple(kept)
 
 
-def _runs(cuts: tuple[int, ...], w: int, box: tuple[range, ...]) -> list[tuple[range, int, int]]:
-    """box's corners cut at c - w + 1 and c for each cut c, as (run, first band,
-    last band): the length-w windows at one run's corners touch the same bands."""
-    edges = sorted({e for c in cuts for e in (c - w + 1, c)})
-    bounds = ([r.start, *(e for e in edges if r.start < e < r.stop), r.stop] for r in box)
-    return [(range(lo, hi), bisect_right(cuts, lo), bisect_right(cuts, lo + w - 1))
-            for es in bounds for lo, hi in zip(es, es[1:])]
+class _Axis:
+    """One axis of a plane's band geometry: its cuts, each band's step (the lcm of
+    its blocks' periods along the axis), the extreme steps lo and hi, the lcm of
+    all steps and the cut span; mids, the middle bands (a, b, m) of step m that
+    can clip (b - a > 2m); local, some band holds two block periods (only then
+    can a run be cut); long, some middle band is over 2m + 16 long (`joint`)."""
 
+    __slots__ = ("cuts", "steps", "lo", "hi", "lcm", "span", "mids", "local", "long")
 
-def _copies(mids, w: int, c: int) -> int:
-    """Corners that kept corner c of `_corners` stands for: c, c + 2m, ... <= b - w in band (a, b, m), else 1."""
-    return next(((b - w - c) // (2 * m) + 1 for a, b, m in mids if a <= c <= b - w), 1)
+    def __init__(self, cuts: tuple[int, ...], periods: list[set[int]]):
+        self.cuts, self.steps = cuts, [lcm(*p) for p in periods]
+        self.lo, self.hi, self.lcm = self.steps[0], self.steps[-1], lcm(*self.steps)
+        self.span = cuts[-1] - cuts[0] if cuts else 0
+        self.mids = [(a, b, m) for a, b, m in zip(cuts, cuts[1:], self.steps[1:-1]) if b - a > 2 * m]
+        self.local = any(len(p) > 1 for p in periods)
+        self.long = any(b - a - 2 * m > 16 for a, b, m in self.mids)
+
+    def box(self, w: int) -> tuple[range, ...]:
+        """The corner box's ranges for length-w runs (`_Analysis.corner_box`)."""
+        return _corners(self.cuts, w, self.lo, self.hi, self.mids)
+
+    def runs(self, w: int) -> list[tuple[range, int, int]]:
+        """The box's corners cut at c - w + 1 and c for each cut c, as (run, first band,
+        last band): the length-w runs at one run's corners touch the same bands."""
+        edges = sorted({e for c in self.cuts for e in (c - w + 1, c)})
+        bounds = ([r.start, *(e for e in edges if r.start < e < r.stop), r.stop] for r in self.box(w))
+        return [(range(lo, hi), bisect_right(self.cuts, lo), bisect_right(self.cuts, lo + w - 1))
+                for es in bounds for lo, hi in zip(es, es[1:])]
+
+    def copies(self, w: int, c: int) -> int:
+        """Corners that kept corner c of `box(w)` stands for: c, c + 2m, ... <= b - w in band (a, b, m), else 1."""
+        return next(((b - w - c) // (2 * m) + 1 for a, b, m in self.mids if a <= c <= b - w), 1)
+
+    def ends(self, w: int, c: int) -> list[int]:
+        """Signed steps of the extreme bands the length-w run at c lies inside: -lo below the cuts, hi above."""
+        below, above = (c + w - 1 < self.cuts[0], c >= self.cuts[-1]) if self.cuts else (True, True)
+        return [s for s, inside in ((-self.lo, below), (self.hi, above)) if inside]
+
+    def joint(self, other: _Axis, d: int) -> tuple[range, ...]:
+        """The w = 1 range of the comparison box of this axis's plane and other's moved
+        by d (`_agree`): both cut sets, both planes' steps' lcm on each side, and each
+        overlap of their middle bands, where both repeat with the lcm m of their steps,
+        cut to its first 2m where that skips more than 16 (a range costs a read about
+        what a few dozen cells do), so only with a `long` band on each side."""
+        mids = [(lo, hi, m) for a, b, s in self.mids for c, e, t in other.mids
+                if (hi := min(b, e + d)) - (lo := max(a, c + d)) - 2 * (m := lcm(s, t)) > 16
+                ] if self.long and other.long else ()
+        cuts = self.cuts + tuple(c + d for c in other.cuts)
+        return _corners(cuts, 1, lcm(self.lo, other.lo), lcm(self.hi, other.hi), mids)
 
 
 class _Analysis:
-    """Per-presentation scan index: each band's step, the code columns of the
-    column classes asked for, per run height and kept row ranges, and the
-    coded window-key sets asked for so far."""
+    """Per-presentation scan index: the band geometry of each axis, as axes =
+    (x, y) (`_Axis`), the code columns of the column classes asked for, per
+    run height and kept row ranges, and the coded window-key sets asked for so far."""
 
-    __slots__ = ("xcuts", "ycuts", "regions", "xsteps", "steps", "mids", "long", "local", "k", "keys", "codes")
+    __slots__ = ("xcuts", "ycuts", "regions", "axes", "k", "keys", "codes")
 
     def __init__(self, g: GridPresentation):
         # the plane's parts, not the plane: no reference cycle, so the index dies with its plane
         self.xcuts, self.ycuts, self.regions = g.xcuts, g.ycuts, g.regions
-        # per axis, each band's step: the lcm of its blocks' periods along that axis;
-        # steps is (left, right, bottom, top), the steps of the extreme bands; a band
-        # with two periods has a block repeating faster than it, and only then can a run be cut
-        us, vs = [{b.u for b in col} for col in g.regions], [{b.v for b in row} for row in zip(*g.regions)]
-        self.xsteps, ysteps = [lcm(*p) for p in us], [lcm(*p) for p in vs]
-        self.local = any(len(p) > 1 for p in us + vs)
-        self.steps = (self.xsteps[0], self.xsteps[-1], ysteps[0], ysteps[-1])
-        # per axis, (a, b, m) for each middle band [a, b) of step m that can clip: b - a > 2m
-        self.mids = tuple([(a, b, m) for a, b, m in zip(cuts, cuts[1:], steps[1:-1]) if b - a > 2 * m]
-                          for cuts, steps in ((g.xcuts, self.xsteps), (g.ycuts, ysteps)))
-        # whether a period test can clip an overlap of a middle band, which must be over 2m + 16 long (`_agree`)
-        self.long = any(b - a - 2 * m > 16 for ms in self.mids for a, b, m in ms)
+        # per axis, each band's block periods along it
+        self.axes = (_Axis(g.xcuts, [{b.u for b in col} for col in g.regions]),
+                     _Axis(g.ycuts, [{b.v for b in row} for row in zip(*g.regions)]))
         self.k = len(g.alphabet)
         self.keys: dict[tuple[int, int], frozenset] = {}
         self.codes: dict[tuple, dict[tuple[int, int], list[int]]] = {}  # (h, ys) -> (x-band, x mod step) -> codes
@@ -223,8 +247,7 @@ class _Analysis:
         origin.  So exactly one step of corners inside each extreme band (one
         step's worth with no cut) plus the straddling ones cover every content,
         and a tall middle band keeps two steps of inside corners (`_corners`)."""
-        xm, ym = self.mids
-        return _corners(self.xcuts, w, *self.steps[:2], xm), _corners(self.ycuts, h, *self.steps[2:], ym)
+        return tuple(ax.box(n) for ax, n in zip(self.axes, (w, h)))
 
     def column(self, x: int, *rows: range) -> list[int]:
         """The cells of column x at each range of rows in turn, filled y-band by y-band from the blocks' own columns."""
@@ -255,7 +278,7 @@ class _Analysis:
         """Coded keys of the w x h windows with corners xs x ys (tuples of increasing ranges,
         read concatenated), x-major: each key is the tuple of the window's w column codes.
         A class's code column covers the rows of ys only and is built once per (h, ys)."""
-        cache, xcuts, xsteps = self.codes.setdefault((h, ys), {}), self.xcuts, self.xsteps
+        cache, xcuts, xsteps = self.codes.setdefault((h, ys), {}), self.xcuts, self.axes[0].steps
         cols, starts = [], []  # the code column of each kept column's class, and each corner's first column
         for r in xs:
             starts += range(len(cols), len(cols) + len(r))
@@ -268,14 +291,14 @@ class _Analysis:
         return chain.from_iterable(zip(*cols[i:i + w]) for i in starts)
 
     def content_boxes(self, w: int, h: int) -> dict[tuple[range, bool], list[range]]:
-        """The corner box's runs (`_runs`) paired across the axes, as (y-run, outside) -> x-runs,
+        """The corner box's runs (`_Axis.runs`) paired across the axes, as (y-run, outside) -> x-runs,
         outside when the windows lie inside an extreme band.  Where a run's windows lie in one
         band on an axis, the blocks they read repeat along it with the lcm L of their periods
         there, anchored at the origin: the run is cut to its first L corners, which show every
         content it does (never its counts)."""
-        (xb, yb), nx, ny, boxes = self.corner_box(w, h), len(self.xcuts), len(self.ycuts), {}
-        yruns = _runs(self.ycuts, h, yb)
-        for xr, x0, x1 in _runs(self.xcuts, w, xb):
+        (x, y), boxes = self.axes, {}
+        nx, ny, yruns = len(x.cuts), len(y.cuts), y.runs(h)
+        for xr, x0, x1 in x.runs(w):
             for yr, y0, y1 in yruns:
                 blocks = [b for col in self.regions[x0:x1 + 1] for b in col[y0:y1 + 1]]
                 xs = xr[:lcm(*[b.u for b in blocks])] if x0 == x1 else xr
@@ -288,7 +311,7 @@ class _Analysis:
         the content boxes, or off the corner box in one read where no block repeats faster than its band."""
         got = self.keys.get((w, h))
         if got is None:
-            if self.local:
+            if any(ax.local for ax in self.axes):
                 boxes = self.content_boxes(w, h).items()
                 keys = chain.from_iterable(self.windows(w, h, tuple(xs), (ys,)) for (ys, _), xs in boxes)
             else:
@@ -345,29 +368,20 @@ class Infinite:
 
 
 def _occurrence_scan(g: GridPresentation, w: int, h: int, match) -> tuple[list[Vec2], set[Vec2]]:
-    """Corners within the canonical scan box of the w x h windows whose coded
+    """Corners within the corner box of the w x h windows whose coded
     key is in match, plus the set of band-repeat directions witnessed by
     occurrences lying inside an unbounded band (those generate infinite
     occurrence families).  A direction is its band's own step, the least
     repeat the box guarantees: the box may hold one copy of such an
     occurrence, and its copy one step further out is an occurrence too."""
     a = g._index
-    left, right, bottom, top = a.steps
-    box = a.corner_box(w, h)
+    (x, y), box = a.axes, a.corner_box(w, h)
     xs, ys = ([*chain.from_iterable(rs)] for rs in box)
     n = len(ys)
     hits = compress(count(), map(match.__contains__, a.windows(w, h, *box)))
     positions = [Vec2(xs[t // n], ys[t % n]) for t in hits]
-    dirs: set[Vec2] = set()
-    for cx, cy in positions:
-        if not g.xcuts or cx + w - 1 < g.xcuts[0]:
-            dirs.add(Vec2(-left, 0))
-        if not g.xcuts or cx >= g.xcuts[-1]:
-            dirs.add(Vec2(right, 0))
-        if not g.ycuts or cy + h - 1 < g.ycuts[0]:
-            dirs.add(Vec2(0, -bottom))
-        if not g.ycuts or cy >= g.ycuts[-1]:
-            dirs.add(Vec2(0, top))
+    dirs = {Vec2(s, 0) for p in positions for s in x.ends(w, p.x)}
+    dirs.update(Vec2(0, s) for p in positions for s in y.ends(h, p.y))
     return positions, dirs
 
 
@@ -394,8 +408,8 @@ def occurrences(g: GridPresentation, p: Pattern):
     positions, dirs = _occurrence_scan(g, w, h, match)
     if dirs:
         return Infinite()
-    mx, my = g._index.mids
-    return Finite(sum(_copies(mx, w, c.x) * _copies(my, h, c.y) for c in positions))
+    x, y = g._index.axes
+    return Finite(sum(x.copies(w, c.x) * y.copies(h, c.y) for c in positions))
 
 
 def is_valid(g: GridPresentation, ts: TileSet) -> bool:
@@ -449,19 +463,11 @@ def transpose(g: GridPresentation) -> GridPresentation:
     return GridPresentation(g.alphabet, g.ycuts, g.xcuts, regions)
 
 
-def _agree(a1: _Analysis, a2: _Analysis, xcuts, ycuts, steps, v: Vec2) -> bool:
+def _agree(a1: _Analysis, a2: _Analysis, v: Vec2) -> bool:
     """Whether a1's plane at p equals a2's plane at p - v for every p in the
-    comparison box of planes cut at xcuts and ycuts that repeat outside them
-    with steps (left, right, bottom, top): the cells of the corner range at
-    w = 1 on each axis, one read per column.  Both planes repeat across an
-    overlap of their middle bands with the lcm m of the two steps, so the
-    range keeps only its first 2m rows or columns (`_corners`) where that
-    skips more than 16 (only with a `_Analysis.long` band in each plane): one
-    more range costs a read about what a few dozen cells do."""
-    xm, ym = [[(lo, hi, m) for a, b, s in m1 for c, e, t in m2
-               if (hi := min(b, e + d)) - (lo := max(a, c + d)) - 2 * (m := lcm(s, t)) > 16]
-              for m1, m2, d in zip(a1.mids, a2.mids, v)] if a1.long and a2.long else ((), ())
-    xs, ys = _corners(xcuts, 1, *steps[:2], xm), _corners(ycuts, 1, *steps[2:], ym)
+    comparison box of the two planes, a2's moved by v: the cells of each
+    axis's joint range (`_Axis.joint`), one read per column."""
+    xs, ys = map(_Axis.joint, a1.axes, a2.axes, v)
     moved = [range(r.start - v.y, r.stop - v.y) for r in ys] if v.y else ys
     return all(a1.column(x, *ys) == a2.column(x - v.x, *moved) for x in chain.from_iterable(xs))
 
@@ -476,17 +482,13 @@ def equal(g1: GridPresentation, g2: GridPresentation) -> bool:
     """
     if g1.alphabet != g2.alphabet:
         raise ValueError("alphabet mismatch")
-    a1, a2 = g1._index, g2._index
-    steps = tuple(map(lcm, a1.steps, a2.steps))
-    return _agree(a1, a2, g1.xcuts + g2.xcuts, g1.ycuts + g2.ycuts, steps, Vec2(0, 0))
+    return _agree(g1._index, g2._index, Vec2(0, 0))
 
 
 def _is_period(g: GridPresentation, v: Vec2) -> bool:
     """equal(g, shift(g, v)), read off g's own columns: the shifted plane has
-    the same band steps and its cuts moved by v."""
-    a = g._index
-    xcuts, ycuts = g.xcuts + tuple(c + v.x for c in g.xcuts), g.ycuts + tuple(c + v.y for c in g.ycuts)
-    return _agree(a, a, xcuts, ycuts, a.steps, v)
+    the same band geometry with its cuts moved by v."""
+    return _agree(g._index, g._index, v)
 
 
 @dataclass(frozen=True)
@@ -560,12 +562,10 @@ def type_of(g: GridPresentation):
     if period_lattice(g).rank >= 1:
         return TypeA()
     # rank 0 forces cuts on both axes
-    ux, vy = block_lcms(g)
-    xspan, yspan = cut_spans(g)
     a = g._index
-    for w, h in _dims_ascending(3 * xspan + 4 * ux - 2, 3 * yspan + 4 * vy - 2):
+    for w, h in _dims_ascending(*(3 * ax.span + 4 * ax.lcm - 2 for ax in a.axes)):
         # steps 0: corners from the first cut - w + 1 to the last cut - 1, clipped like the box
-        cxs, cys = _corners(g.xcuts, w, 0, 0, a.mids[0]), _corners(g.ycuts, h, 0, 0, a.mids[1])
+        cxs, cys = (_corners(ax.cuts, n, 0, 0, ax.mids) for ax, n in zip(a.axes, (w, h)))
         if not cxs or not cys:
             continue
         once = {key for key, n in Counter(a.windows(w, h, cxs, cys)).items() if n == 1}

@@ -231,3 +231,39 @@ def test_detects_module_level_caches():
                      "def g():\n    h = cache(len)\n    @cache\n    def i(): pass\n"
                      "if a:\n    @functools.cache\n    def j(): pass\n")
     assert _module_caches(tree) == [("a", 4), ("b", 6), ("c", 8), ("d", 11), ("f", 14), ("j", 21)]
+
+
+# band geometry has one home, the per-axis records of presentation's scan
+# index; every other module reads sizes and window sets through the plane
+BAND_GEOMETRY_HOME = "presentation.py"
+
+
+def _band_geometry(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) for each mention of `_Axis` or `_corners` (as a name, an
+    imported name or an attribute) and each `.axes` attribute."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr] if node.attr != "axes" else [".axes"]
+        else:
+            continue
+        out += [(n, node.lineno) for n in names if n in ("_Axis", "_corners", ".axes")]
+    return sorted(out, key=lambda t: t[1])
+
+
+def test_band_geometry_stays_in_presentation():
+    found = [f"{p.name}:{line}: {name}" for p in MODULES if p.name != BAND_GEOMETRY_HOME
+             for name, line in _band_geometry(ast.parse(p.read_text(), filename=str(p)))]
+    assert not found, "band geometry read outside presentation:\n" + "\n".join(found)
+    home = ast.parse((SRC / BAND_GEOMETRY_HOME).read_text())
+    assert {name for name, _ in _band_geometry(home)} == {"_Axis", "_corners", ".axes"}
+
+
+def test_detects_band_geometry():
+    tree = ast.parse("from .presentation import _corners, shift\nimport tilelab.presentation as p\n"
+                     "x, y = g._index.axes\nb = p._Axis(c, s)\naxes = 2\nn = g._settled\n")
+    assert _band_geometry(tree) == [("_corners", 1), (".axes", 3), ("_Axis", 4)]

@@ -9,7 +9,7 @@ from itertools import chain
 import pytest
 
 from oracle import brute
-from conftest import CORPUS, corpus_planes, live_indexes, make_a, make_b
+from conftest import CORPUS, corpus_planes, live_indexes, make_a, make_b, raw_lcms
 from tilelab.cli import parse_presentation
 from tilelab.core import Alphabet, Pattern, TileSet, Vec2
 from tilelab.order import preceq
@@ -28,7 +28,6 @@ from tilelab.presentation import (
     _dims_ascending,
     block_lcms,
     cell_at,
-    cut_spans,
     equal,
     is_valid,
     occurrences,
@@ -81,7 +80,7 @@ def test_cell_at_respects_block_periods(stripes):
         for y in range(-6, 7):
             assert cell_at(g, (x, y)) == b.data[x % 2][y % 3]
     assert block_lcms(g) == Vec2(2, 3)
-    assert cut_spans(g) == Vec2(0, 0)
+    assert [ax.span for ax in g._index.axes] == [0, 0]
 
 
 def test_window_at(members):
@@ -481,9 +480,7 @@ def banded_plane(rng):
         regions = tuple(tuple(Block(len(d), len(d[0]), d) for d in col) for col in raw)
         al = Alphabet(tuple(f"s{i}" for i in range(k)))
         g = GridPresentation(al, tuple(xcuts), tuple(ycuts), regions)
-        left, right, bottom, top = g._index.steps
-        ux, vy = block_lcms(g)
-        if min(left, right) < ux or min(bottom, top) < vy:
+        if any(min(ax.lo, ax.hi) < ax.lcm for ax in g._index.axes):
             break
 
     def fn(x, y):
@@ -540,7 +537,7 @@ def test_band_steps_periods_equality_and_type_match_oracle(seed):
     def cells(x, y):
         return grid[x + reach][y + reach]
 
-    ux, vy = block_lcms(g)
+    ux, vy = raw_lcms(g)
     lat = period_lattice(g)
     assert lat.rank == brute.lattice_rank(cells, reach, max(ux, vy))
     for dx in range(-ux, ux + 1):
@@ -582,7 +579,7 @@ def test_periods_to_eleven_plane_scans_a_per_band_box():
                           for u, v in periods)
     g = GridPresentation(al, (0,), (0,), ((b00, b01), (b10, b11)))
     assert block_lcms(g) == Vec2(3465, 5544)
-    assert g._index.steps == (77, 45, 77, 72)
+    assert [(ax.lo, ax.hi) for ax in g._index.axes] == [(77, 45), (77, 72)]
     for w, h in ((1, 1), (2, 3), (5, 4)):
         (xs,), (ys,) = g._index.corner_box(w, h)  # no middle band: one range per axis
         assert (len(xs), len(ys)) == (w + 121, h + 148)
@@ -613,7 +610,7 @@ def tall_plane(rng):
         regions = tuple(tuple(Block(len(d), len(d[0]), d) for d in col) for col in raw)
         al = Alphabet(tuple(f"s{i}" for i in range(k)))
         g = GridPresentation(al, tuple(xcuts), tuple(ycuts), regions)
-        if all(any(b - a >= 2 * m + 4 for a, b, m in bands) for bands in g._index.mids):
+        if all(any(b - a >= 2 * m + 4 for a, b, m in ax.mids) for ax in g._index.axes):
             break
 
     def fn(x, y):
@@ -661,7 +658,7 @@ def test_tall_band_occurrences_and_type_match_oracle():
         def cell(x, y):
             return grid[x + TALL_FAR][y + TALL_FAR]
 
-        xbands, ybands = g._index.mids
+        xbands, ybands = (ax.mids for ax in g._index.axes)
         for n in range(8):
             w, h = rng.randint(1, 4), rng.randint(1, 4)
             if n < 4:  # inside a middle band on each axis
@@ -738,11 +735,12 @@ def test_windows_at_any_corner_ranges_match_oracle(seed):
     reach = 50  # cuts lie in [-30, 34], steps are at most 12 and windows at most 4 long
     for g, fn in (banded_plane(rng), tall_plane(rng)):
         grid, a, k = brute.box_grid(fn, reach), g._index, len(g.alphabet)
+        xaxis, yaxis = a.axes
         for w in range(1, 5):
             for h in range(1, 5):
                 reads = [a.corner_box(w, h)]
                 if g.xcuts and g.ycuts:  # as in type_of, which runs only with cuts on both axes
-                    reads.append((_corners(g.xcuts, w, 0, 0, a.mids[0]), _corners(g.ycuts, h, 0, 0, a.mids[1])))
+                    reads.append((_corners(g.xcuts, w, 0, 0, xaxis.mids), _corners(g.ycuts, h, 0, 0, yaxis.mids)))
                 for _ in range(3):
                     x, y = rng.randint(-45, 45), rng.randint(-45, 45)
                     reads.append(((range(x, x + 1),), (range(y, y + 1),)))
@@ -800,8 +798,8 @@ def test_local_planes_match_oracle(seed, monkeypatch):
     [-c - k - s, c + k + s], which the oracle compares at reach c + 2k + s."""
     rng = random.Random(f"local/{seed}")
     g, fn, cuts, s = local_plane(rng)
-    assert g._index.local
-    ux, vy = block_lcms(g)
+    assert any(ax.local for ax in g._index.axes)
+    ux, vy = raw_lcms(g)
     c, k = max(abs(x) for axis in cuts for x in axis), max(ux, vy)
     near, far = c + s + 4, c + 2 * s + 4
     reach = max(far, c + 2 * k + s)
@@ -924,7 +922,7 @@ def test_planes_without_faster_blocks_read_the_corner_box_once(members, stripes,
     tall = [make_a(al, 5000), make_b(al, 3000), transpose(make_a(al, 50))]
     for g in [replace(p) for p in members.values()] + tall:  # fresh planes, no keys built yet
         a = g._index
-        assert not a.local
+        assert not any(ax.local for ax in a.axes)
         reads.clear()
         for w in range(1, 4):
             for h in range(1, 4):

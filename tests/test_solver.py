@@ -4,10 +4,10 @@ from itertools import product
 import pytest
 
 from oracle import brute
-from conftest import CHECKER_H, CHECKER_V, STRIPES_H, STRIPES_V
+from conftest import CHECKER_H, CHECKER_V, STRIPES_H, STRIPES_V, raw_lcms
 from tilelab.core import Alphabet, Pattern, TileSet, TorusTiling, Vec2, check_torus
 from tilelab import solver
-from tilelab.presentation import PeriodLattice, block_lcms, cell_at, is_valid, period_lattice
+from tilelab.presentation import PeriodLattice, cell_at, is_valid, period_lattice
 from tilelab.solver import (
     Empty,
     PeriodicFound,
@@ -134,7 +134,7 @@ def _check_witness(rules, g):
     its cuts, lattice rank 1, its generator a period and the cross-axis
     block lcm not one."""
     fn = lambda x, y: cell_at(g, (x, y))
-    lx, ly = block_lcms(g)
+    lx, ly = raw_lcms(g)
     reach = max(map(abs, (*g.xcuts, *g.ycuts, 0))) + 2 * max(lx, ly) + 3
     assert brute.grid_ok(rules, brute.box_grid(fn, reach))
     assert brute.lattice_rank(fn, reach, 3) == 1
