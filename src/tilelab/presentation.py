@@ -247,7 +247,7 @@ class _Analysis:
         origin.  So exactly one step of corners inside each extreme band (one
         step's worth with no cut) plus the straddling ones cover every content,
         and a tall middle band keeps two steps of inside corners (`_corners`)."""
-        return tuple(ax.box(n) for ax, n in zip(self.axes, (w, h)))
+        return self.axes[0].box(w), self.axes[1].box(h)
 
     def column(self, x: int, *rows: range) -> list[int]:
         """The cells of column x at each range of rows in turn, filled y-band by y-band from the blocks' own columns."""
@@ -311,7 +311,7 @@ class _Analysis:
         the content boxes, or off the corner box in one read where no block repeats faster than its band."""
         got = self.keys.get((w, h))
         if got is None:
-            if any(ax.local for ax in self.axes):
+            if self.axes[0].local or self.axes[1].local:
                 boxes = self.content_boxes(w, h).items()
                 keys = chain.from_iterable(self.windows(w, h, tuple(xs), (ys,)) for (ys, _), xs in boxes)
             else:
