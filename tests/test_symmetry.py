@@ -134,7 +134,9 @@ def check_periods(g, planes, monkeypatch):
             answer = _is_period(p, flip(v) if t else Vec2(*v))
             reads.append((answer, tuple(reversed(extents)) if t else tuple(extents), sum(cells)))
         assert {r[:2] for r in reads} == {(lats[0].contains(v), reads[0][1])}, v
-        if reads[0][0]:  # a failing test stops at its first mismatch, which an axis without cuts need not shift
+        # a failing test stops at its first mismatch, and on an axis without cuts the range
+        # does not move with a shift, so only whole reads (periods) read equal cells
+        if reads[0][0]:
             assert len({r[2] for r in reads}) == 1, v
     monkeypatch.undo()
 
