@@ -175,9 +175,9 @@ class _Axis:
     its blocks' periods along the axis), the extreme steps lo and hi, the lcm of
     all steps and the cut span; mids, the middle bands (a, b, m) of step m that
     can clip (b - a > 2m); local, some band holds two block periods (only then
-    can a run be cut); long, some middle band is over 2m + 16 long (`joint`)."""
+    can a run be cut).  `joint`'s 16-row rule needs no flag: it keeps only long bands."""
 
-    __slots__ = ("cuts", "steps", "lo", "hi", "lcm", "span", "mids", "local", "long")
+    __slots__ = ("cuts", "steps", "lo", "hi", "lcm", "span", "mids", "local")
 
     def __init__(self, cuts: tuple[int, ...], periods: list[set[int]]):
         self.cuts, self.steps = cuts, [lcm(*p) for p in periods]
@@ -185,7 +185,6 @@ class _Axis:
         self.span = cuts[-1] - cuts[0] if cuts else 0
         self.mids = [(a, b, m) for a, b, m in zip(cuts, cuts[1:], self.steps[1:-1]) if b - a > 2 * m]
         self.local = any(len(p) > 1 for p in periods)
-        self.long = any(b - a - 2 * m > 16 for a, b, m in self.mids)
 
     def box(self, w: int) -> tuple[range, ...]:
         """The corner box's ranges for length-w runs (`_Analysis.corner_box`)."""
@@ -213,10 +212,9 @@ class _Axis:
         by d (`_agree`): both cut sets, both planes' steps' lcm on each side, and each
         overlap of their middle bands, where both repeat with the lcm m of their steps,
         cut to its first 2m where that skips more than 16 (a range costs a read about
-        what a few dozen cells do), so only with a `long` band on each side."""
+        what a few dozen cells do), which needs both bands over 2s + 16 and 2t + 16 long."""
         mids = [(lo, hi, m) for a, b, s in self.mids for c, e, t in other.mids
-                if (hi := min(b, e + d)) - (lo := max(a, c + d)) - 2 * (m := lcm(s, t)) > 16
-                ] if self.long and other.long else ()
+                if (hi := min(b, e + d)) - (lo := max(a, c + d)) - 2 * (m := lcm(s, t)) > 16]
         cuts = self.cuts + tuple(c + d for c in other.cuts)
         return _corners(cuts, 1, lcm(self.lo, other.lo), lcm(self.hi, other.hi), mids)
 

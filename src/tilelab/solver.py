@@ -203,36 +203,19 @@ def _two_cycles(g: TransferGraph) -> tuple | None:
     return None
 
 
-def _witness_presentation(ts: TileSet, c1: tuple, c2: tuple, path: tuple, q: int) -> GridPresentation:
+def _witness_presentation(ts: TileSet, g: TransferGraph, c1: tuple, c2: tuple, path: tuple) -> GridPresentation:
     """Lay out c1 repeated to the left, the bridge, then c2 repeated to the right.
 
-    Column x of the plane is the first column of the walk vertex at step x;
-    blocks are origin-anchored, so each side's data is indexed to agree with
-    the walk at the band boundary.
+    Column x of the plane is the first column of walk vertex c1[x mod |c1|]
+    for x <= 0, path[x] for 0 <= x <= m and c2[(x - m) mod |c2|] for x >= m,
+    where m = |path| - 1: cuts 1..m (0 when m = 0), one 1-wide band per inner
+    bridge step.  Each walk starts at the bridge end it meets, and blocks are
+    origin-anchored, so c2's block is c2 rotated by m.
     """
-    m = len(path) - 1
-    l1, l2 = len(c1), len(c2)
-    i1 = c1.index(path[0])
-    i2 = c2.index(path[-1])
-
-    def left_col(j):
-        return c1[(i1 + j) % l1][0]
-
-    def right_col(j):
-        return c2[(i2 + j - m) % l2][0]
-
-    left = Block(l1, q, tuple(left_col(j) for j in range(l1)))
-    right = Block(l2, q, tuple(right_col(j) for j in range(l2)))
-    if m == 0:
-        xcuts = (0,)
-        columns = [left, right]
-    else:
-        xcuts = tuple(range(1, m + 1))
-        columns = [left]
-        for t in range(1, m):
-            columns.append(Block(1, q, (path[t][0],)))
-        columns.append(right)
-    return GridPresentation(ts.alphabet, xcuts, (), tuple((b,) for b in columns))
+    m, l2 = len(path) - 1, len(c2)
+    walks = (c1, *((v,) for v in path[1:-1]), tuple(c2[(j - m) % l2] for j in range(l2)))
+    columns = tuple((Block(len(w), g.height, tuple(g.vertices[v][0] for v in w)),) for w in walks)
+    return GridPresentation(ts.alphabet, tuple(range(1, m + 1)) or (0,), (), columns)
 
 
 def weak_periodic_witness(ts: TileSet, maxq: int) -> GridPresentation | None:
@@ -254,8 +237,7 @@ def weak_periodic_witness(ts: TileSet, maxq: int) -> GridPresentation | None:
             found = _two_cycles(g)
             if found is None:
                 continue
-            c1, c2, path = (tuple(g.vertices[i] for i in walk) for walk in found)
-            pres = _witness_presentation(oriented, c1, c2, path, q)
+            pres = _witness_presentation(oriented, g, *found)
             if flipped:
                 pres = transpose(pres)
             if not is_valid(pres, ts):

@@ -7,6 +7,7 @@ from oracle import brute
 from conftest import CHECKER_H, CHECKER_V, STRIPES_H, STRIPES_V, raw_lcms
 from tilelab.core import Alphabet, Pattern, TileSet, TorusTiling, Vec2, check_torus
 from tilelab import solver
+from tilelab.lang import build_transfer_graph
 from tilelab.presentation import PeriodLattice, cell_at, is_valid, period_lattice
 from tilelab.solver import (
     Empty,
@@ -185,3 +186,34 @@ def test_weak_periodic_witness_matches_cylinder_referee(extra):
             _check_witness(rules, g)
         seen.add(g is not None)
     assert seen == {False, True}
+
+
+def test_witness_layout_reads_the_walks():
+    """Column x of the witness built from _two_cycles' walks c1, c2 and bridge
+    path (m steps) is the first column of c1[x mod |c1|] for x <= 0, of
+    path[x] for 0 <= x <= m and of c2[(x - m) mod |c2|] for x >= m."""
+    seen = set()
+    for extra, seed in product(((), ("row3",)), range(40)):
+        rng = random.Random(f"layout/{seed}")
+        nstates = rng.choice((2, 3, 4))
+        ts = _rules_tileset(nstates, _random_rules(rng, nstates, extra))
+        for q, oriented in product((1, 2, 3), (ts, ts.transpose())):
+            g = build_transfer_graph(oriented, q, wrap=True)
+            found = solver._two_cycles(g)
+            if found is None:
+                continue
+            c1, c2, path = found
+            m = len(path) - 1
+            pres = solver._witness_presentation(oriented, g, c1, c2, path)
+            first = lambda v: g.vertices[v][0]
+            for x in range(-2 * len(c1), m + 2 * len(c2) + 1):
+                column = tuple(cell_at(pres, (x, y)) for y in range(q))
+                if x <= 0:
+                    assert column == first(c1[x % len(c1)]), (extra, seed, q, x)
+                if 0 <= x <= m:
+                    assert column == first(path[x]), (extra, seed, q, x)
+                if x >= m:
+                    assert column == first(c2[(x - m) % len(c2)]), (extra, seed, q, x)
+            seen.add((m == 0, g.cols))
+    # a witness with no inner bridge, one with a bridge, and a row3 set's 2-column vertices
+    assert {(True, 1), (False, 1), (False, 2)} <= seen

@@ -7,7 +7,9 @@ axes' cuts by different amounts, and a transpose swaps which axis a band
 lies on.  Window sets, period tests, occurrences, the recurrence type and
 validity are compared on the seeded banded, tall and local planes of
 `tests/test_presentation.py`; classes, covers, levels and ranks on the seeded
-families of `tests/test_cb.py`, through every derivative round."""
+families of `tests/test_cb.py`, through every derivative round, also under a
+renaming of the states; torus counts, torus enumerations and the existence of
+a weakly periodic tiling on seeded tile sets of `tests/test_solver.py`."""
 
 import random
 from itertools import product
@@ -17,11 +19,15 @@ import pytest
 from conftest import raw_lcms
 from test_cb import random_family
 from test_presentation import SPARSE_SHAPES, banded_plane, local_plane, tall_plane
+from test_solver import _random_rules, _rules_tileset
 from tilelab.cb import derivative, ranks
 from tilelab.core import Pattern, TileSet, Vec2
+from tilelab.lang import count_torus
 from tilelab.order import TilingFamily, equivalence_classes, hasse, level_of
 from tilelab.presentation import (
+    Block,
     Finite,
+    GridPresentation,
     TypeB,
     _Analysis,
     _Axis,
@@ -35,6 +41,7 @@ from tilelab.presentation import (
     transpose,
     type_of,
 )
+from tilelab.solver import enumerate_torus, weak_periodic_witness
 
 
 def flip(v) -> Vec2:
@@ -168,10 +175,17 @@ def family_rounds(f: TilingFamily):
     return out, report
 
 
+def renamed(g: GridPresentation, perm: list[int]) -> GridPresentation:
+    """g with every state s read as perm[s]."""
+    return GridPresentation(g.alphabet, g.xcuts, g.ycuts, tuple(tuple(
+        Block(b.u, b.v, tuple(tuple(perm[s] for s in col) for col in b.data)) for b in region) for region in g.regions))
+
+
 def test_family_answers_are_invariant_under_shift_and_transpose():
     """Classes, covers, levels and ranks of seeded families, some with a tall
     band member, in every derivative round: unchanged when each member is
-    shifted on its own, and when the tile set and every member are transposed."""
+    shifted on its own, when the tile set and every member are transposed,
+    and when the states of both are renamed (rotated)."""
     rng = random.Random(2027)
     deep = 0
     for n in range(40):
@@ -179,7 +193,32 @@ def test_family_answers_are_invariant_under_shift_and_transpose():
         want = family_rounds(f)
         moved = [(name, shift(g, rng.sample(range(-7, 8), 2))) for name, g in f.members]
         flipped = [(name, transpose(g)) for name, g in f.members]
-        for ts, members in ((f.tileset, moved), (f.tileset.transpose(), flipped)):
+        k = len(f.tileset.alphabet)
+        perm = [(s + 1 + n % (k - 1)) % k for s in range(k)]
+        relabelled = TileSet.from_allowed(f.tileset.alphabet, [
+            Pattern(p.alphabet, {c: perm[s] for c, s in p.cells.items()}) for pats in f.tileset.allowed for p in pats])
+        renamings = [(name, renamed(g, perm)) for name, g in f.members]
+        for ts, members in ((f.tileset, moved), (f.tileset.transpose(), flipped), (relabelled, renamings)):
             assert family_rounds(TilingFamily(ts, members, f.window)) == want, n
         deep += len(want[0]) > 1
     assert deep
+
+
+@pytest.mark.parametrize("extra", [(), ("square",), ("row3",)])
+def test_tileset_answers_are_invariant_under_transpose(extra):
+    """Torus counts and torus enumerations with the two sizes swapped, and
+    whether a weakly periodic tiling exists, agree for a tile set and its transpose."""
+    found = set()
+    for seed in range(30):
+        rng = random.Random(f"symmetry/tiles/{extra}/{seed}")
+        nstates = rng.choice((2, 3, 4))
+        ts = _rules_tileset(nstates, _random_rules(rng, nstates, extra))
+        tt = ts.transpose()
+        for p, q in product((1, 2, 3), repeat=2):
+            assert count_torus(ts, p, q) == count_torus(tt, q, p), (seed, p, q)
+        assert len(enumerate_torus(ts, 3, 2)) == len(enumerate_torus(tt, 2, 3)), seed
+        q = rng.choice((1, 2, 3))
+        witness = weak_periodic_witness(ts, q)
+        assert (witness is None) == (weak_periodic_witness(tt, q) is None), (seed, q)
+        found.add(witness is None)
+    assert found == {False, True}
