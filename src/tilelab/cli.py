@@ -218,10 +218,7 @@ def emit_presentation(g: GridPresentation) -> str:
 def _pattern_json(p: Pattern) -> dict:
     p = p.normalize()
     w, h = p.extents()
-    if len(p.cells) == w * h:
-        return {"width": w, "height": h, "rows": p._top_rows(w, h)}
-    toks = p.alphabet.tokens
-    return {"cells": [[c.x, c.y, toks[s]] for c, s in sorted(p.cells.items())]}
+    return {"width": w, "height": h, "rows": p._top_rows(w, h)}
 
 
 def _torus_json(t: TorusTiling, alphabet: Alphabet, memo: dict | None = None) -> dict:

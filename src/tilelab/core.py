@@ -67,7 +67,7 @@ class Pattern:
             raise ValueError("pattern must have at least one cell")
         fixed = {}
         for v, s in cells.items():
-            if not 0 <= s < len(alphabet):
+            if not isinstance(s, int) or not 0 <= s < len(alphabet):
                 raise ValueError(f"state {s} out of range")
             fixed[_as_vec(v)] = s
         object.__setattr__(self, "alphabet", alphabet)
@@ -341,7 +341,7 @@ def check_torus(ts: TileSet, t: TorusTiling) -> bool:
     """Every shape window, read with wraparound, must be allowed."""
     for col in t.block:
         for s in col:
-            if not 0 <= s < len(ts.alphabet):
+            if not isinstance(s, int) or not 0 <= s < len(ts.alphabet):
                 raise ValueError("state out of range for alphabet")
     for cells, keys in zip(ts.shape_cells, ts.allowed_keys):
         for ax in range(t.p):

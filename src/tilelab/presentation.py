@@ -88,7 +88,7 @@ class GridPresentation:
             for b in col:
                 for data_col in b.data:
                     for s in data_col:
-                        if not 0 <= s < k:
+                        if not isinstance(s, int) or not 0 <= s < k:
                             raise ValueError("block state out of alphabet range")
 
     @cached_property
@@ -105,25 +105,19 @@ class GridPresentation:
         where the plane repeats with step ux, and the cut structure transports
         that repetition back everywhere.  So the x-projection of the lattice is
         nontrivial iff (ux, 0) is a period, and likewise for y; candidate
-        generators then range over divisors of the block lcms.
+        generators then range over divisors of the block lcms.  One search serves
+        every rank: c0 the least vertical period (0 for none), then, with a horizontal
+        period, the least (a, b) with a | ux and 0 <= b < max(c0, 1).  It tests what the
+        old four-case search did, in its order, so each plane pays the same tests.
         """
         ux, vy = block_lcms(self)
-        has_h = _is_period(self, Vec2(ux, 0))
-        has_v = _is_period(self, Vec2(0, vy))
-        if has_v:
-            c0 = next(d for d in _divisors(vy) if _is_period(self, Vec2(0, d)))
-        if has_h and not has_v:
-            a0 = next(d for d in _divisors(ux) if _is_period(self, Vec2(d, 0)))
-            return PeriodLattice(1, (Vec2(a0, 0),))
-        if has_v and not has_h:
-            return PeriodLattice(1, (Vec2(0, c0),))
-        if not has_h and not has_v:
-            return PeriodLattice(0, ())
-        for a in _divisors(ux):
-            for b in range(c0):
-                if _is_period(self, Vec2(a, b)):
-                    return PeriodLattice(2, (Vec2(a, b), Vec2(0, c0)))
-        raise AssertionError("unreachable: (ux, 0) is a period")
+        has_h, has_v = _is_period(self, Vec2(ux, 0)), _is_period(self, Vec2(0, vy))
+        c0 = next(d for d in _divisors(vy) if _is_period(self, Vec2(0, d))) if has_v else 0
+        gens = (Vec2(0, c0),) if c0 else ()
+        if has_h:
+            a, b = next((a, b) for a in _divisors(ux) for b in range(max(c0, 1)) if _is_period(self, Vec2(a, b)))
+            gens = (Vec2(a, b), *gens)
+        return PeriodLattice(len(gens), gens)
 
     @cached_property
     def _settled(self) -> Vec2:
@@ -151,7 +145,7 @@ def block_lcms(g: GridPresentation) -> Vec2:
     return Vec2(*(ax.lcm for ax in g._index.axes))
 
 
-def _corners(cuts: tuple[int, ...], w: int, lo: int, hi: int, mids=()) -> tuple[range, ...]:
+def _corners(cuts: tuple[int, ...], w: int, lo: int, hi: int, mids) -> tuple[range, ...]:
     """Nonempty increasing corner ranges on one axis whose length-w runs
     realize every run content of a plane cut at cuts that repeats with step
     lo below them and hi above: every straddling corner, then exactly lo of

@@ -6,7 +6,7 @@ from functools import cache, cached_property
 import pytest
 
 from oracle import brute
-from conftest import corpus_planes, order_reads
+from conftest import corpus_planes, order_reads, raw_lcms
 from tilelab import cb
 from tilelab.cb import (
     RankReport,
@@ -320,9 +320,31 @@ def test_isolation_at_the_search_bound_matches_the_sweep():
     assert 0.2 < pinned / decisions < 0.9
 
 
+def referee_bounds(f, g):
+    """A member's search bound as the oracle derives it, from the raw cuts and
+    blocks: per axis, the family window or, if larger, the cut span plus two
+    lcms of the blocks' periods along the axis."""
+    return tuple(max(f.window, (cuts[-1] - cuts[0] if cuts else 0) + 2 * m)
+                 for cuts, m in zip((g.xcuts, g.ycuts), raw_lcms(g)))
+
+
+def test_search_bounds_are_the_referee_bounds(family6):
+    """`_search_bounds` is the formula the oracle tests derive on their own,
+    on the corpus family and on seeded families, at every window from 2 to N + 2."""
+    rng = random.Random(4411)
+    families = [family6] + [random_family(rng, range(-3, 4), 3, 2, tall=6 * (i % 2))[0] for i in range(20)]
+    for base in families:
+        for window in range(2, base._n + 3):
+            f = TilingFamily(base.tileset, base.members, window, validate=False)
+            for name in f.names():
+                g = f.presentation(name)
+                assert _search_bounds(f, g) == referee_bounds(f, g), (window, name)
+
+
 def test_ranks_match_oracle_at_library_bounds():
-    """The oracle tries every size up to each member's `_search_bounds`, so
-    the library's decision at the bound alone is refereed.  Cuts in [-2, 2]
+    """The oracle tries every size up to each member's search bound, derived
+    from its raw cuts and blocks (`referee_bounds`), so the library's decision
+    at the bound alone is refereed.  Cuts in [-2, 2]
     and blocks up to 2 x 2 keep every bound at most 8 and every band step at
     most 2: each window content has a copy with its corner in [-12, 4], so
     within reach 12, and reach 16 sees an infinite occurrence family grow.
@@ -333,7 +355,7 @@ def test_ranks_match_oracle_at_library_bounds():
         f, fns = random_family(rng, range(-2, 3), 2, 2)
         if len(f._classes) < len(f.names()):
             continue
-        bounds = {n: _search_bounds(f, f.presentation(n)) for n in f.names()}
+        bounds = {n: referee_bounds(f, f.presentation(n)) for n in f.names()}
         assert max(max(b) for b in bounds.values()) <= 8
         table, residue = brute.brute_ranks(fns, bounds, 14, 16)
         report = ranks(f)
@@ -355,7 +377,7 @@ def test_ranks_match_oracle_with_a_tall_band_member():
         f, fns = random_family(rng, range(-2, 3), 2, 2, tall=6)
         if len(f._classes) < len(f.names()):
             continue
-        bounds = {n: _search_bounds(f, f.presentation(n)) for n in f.names()}
+        bounds = {n: referee_bounds(f, f.presentation(n)) for n in f.names()}
         assert max(w for w, _ in bounds.values()) <= 8 and max(h for _, h in bounds.values()) <= 10
         table, residue = brute.brute_ranks(fns, bounds, 18, 22)
         report = ranks(f)

@@ -220,3 +220,18 @@ def test_check_torus(checkerboard):
     assert check_torus(checkerboard, TorusTiling(2, 2, ((0, 1), (1, 0))))
     assert not check_torus(checkerboard, TorusTiling(1, 1, ((0,),)))
     assert not check_torus(checkerboard, TorusTiling(3, 2, ((0, 1), (1, 0), (0, 1))))
+
+
+def test_check_torus_refuses_a_state_that_is_not_an_int(checkerboard):
+    """0.5 lies between two states but names none: it is refused as an
+    out-of-range state is, not read as a window no rule allows."""
+    for s in (0.5, 1.0, 2, -1):
+        with pytest.raises(ValueError, match="^state out of range for alphabet$"):
+            check_torus(checkerboard, TorusTiling(2, 2, ((0, 1), (1, s))))
+
+
+def test_pattern_refuses_a_state_that_is_not_an_int(checkerboard):
+    """A pattern holding 0.5 would occur nowhere and could not print its rows."""
+    for s in (0.5, 1.0, 2, -1):
+        with pytest.raises(ValueError, match=f"^state {s} out of range$"):
+            Pattern(checkerboard.alphabet, {(0, 0): 0, (1, 0): s})

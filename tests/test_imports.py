@@ -1,7 +1,8 @@
 """Every name a library module imports is used in it, every private
-module-level helper is used somewhere in the package, only `solver`
-reaches outside the standard library, and no module keeps process-wide
-mutable state or a process-wide memoized function.
+module-level helper is used somewhere in the package and each default of
+a private function is left out by some call there, only `solver` reaches
+outside the standard library, and no module keeps process-wide mutable
+state or a process-wide memoized function.
 
 `__init__.py` is exempt from the first check: its imports are the package's
 public surface.  Names are collected with the standard `ast` module,
@@ -138,6 +139,52 @@ def test_detects_a_dead_helper():
         "b.py": ast.parse("from a import _read\nx = _read()\n"),
     }
     assert _dead_helpers(trees) == ["a.py:1: _LIMIT", "a.py:3: _walk"]
+
+
+def _supplies(call: ast.Call, param: str, i: int | None) -> bool:
+    """Whether a call passes param (positional index i, None for keyword-only)."""
+    return (any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg in (None, param) for k in call.keywords)
+            or i is not None and i < len(call.args))
+
+
+def _unused_defaults(trees: dict[str, ast.Module]) -> list[str]:
+    """Each default of a private module-level function that every call in the
+    package supplies, so that no caller reaches it.  A call through `*args`
+    or `**kwargs` counts as supplying every argument."""
+    calls = [node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    unused = []
+    for name, tree in trees.items():
+        for fn, node in _private_defs(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            pos = [p.arg for p in args.posonlyargs + args.args]
+            kwonly = [p.arg for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            mine = [c for c in calls if fn in (getattr(c.func, "id", None), getattr(c.func, "attr", None))]
+            for param in pos[len(pos) - len(args.defaults):] + kwonly:
+                i = pos.index(param) if param in pos else None
+                if all(_supplies(c, param, i) for c in mine):
+                    unused.append(f"{name}:{node.lineno}: {fn}({param})")
+    return unused
+
+
+def test_every_private_default_is_reached():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    unused = _unused_defaults(trees)
+    assert not unused, "defaults that every call supplies:\n" + "\n".join(unused)
+
+
+def test_detects_an_unused_default():
+    trees = {
+        "a.py": ast.parse("def _walk(n, depth=0, *, seen=None, cap=9):\n    return _walk(n - 1, depth + 1, seen=seen)\n"
+                          "def _read(path, mode='r'):\n    return path\ndef _spread(a, b=1):\n    return a\n"
+                          "def _load(a, b=1):\n    return a\ndef walk(n, depth=0):\n    return n\n"
+                          "class _Node:\n    def get(self, k=None):\n        return k\n"),
+        "b.py": ast.parse("import a\nfrom a import _load, _read, _spread\na._walk(3, 0, seen=set())\n"
+                          "_read('x')\n_spread(*args)\n_load(1, **opts)\n_Node().get(1)\n"),
+    }
+    assert _unused_defaults(trees) == ["a.py:1: _walk(depth)", "a.py:1: _walk(seen)",
+                                       "a.py:5: _spread(b)", "a.py:7: _load(b)"]
 
 
 # module-level containers that are fixed after import: the public surface

@@ -10,6 +10,7 @@ import pytest
 
 from oracle import brute
 from conftest import CORPUS, corpus_planes, live_indexes, make_a, make_b, raw_lcms
+from tilelab import presentation
 from tilelab.cli import parse_presentation
 from tilelab.core import Alphabet, Pattern, TileSet, Vec2
 from tilelab.order import preceq
@@ -60,6 +61,13 @@ def test_block_and_presentation_validation(stripes):
         GridPresentation(al, (3, 1), (), g.regions)
     with pytest.raises(ValueError):
         GridPresentation(al, (0,), (), g.regions)  # one column of regions, two bands
+
+
+def test_presentation_refuses_a_block_state_that_is_not_an_int(stripes):
+    """A block holding 0.5 would give a plane of recurrence type A whatever it held."""
+    for s in (0.5, 1.0, 4, -1):
+        with pytest.raises(ValueError, match="^block state out of alphabet range$"):
+            GridPresentation(stripes.alphabet, (0,), (), ((Block.filled(1, 1, 0),), (Block(1, 2, ((0, s),)),)))
 
 
 def test_cell_at_reads_bands(members):
@@ -997,3 +1005,59 @@ def test_short_band_period_tests_read_one_range_per_column(stripes, monkeypatch)
     ranges.clear()
     period_lattice(make_a(stripes.alphabet, 50))
     assert max(ranges) == 2
+
+
+def four_case_lattice(g, is_period):
+    """The period lattice search as four hand-written cases, restated as the
+    reference for `GridPresentation._lattice`'s one search."""
+    def divisors(n):
+        return [d for d in range(1, n + 1) if n % d == 0]
+
+    ux, vy = block_lcms(g)
+    has_h = is_period(Vec2(ux, 0))
+    has_v = is_period(Vec2(0, vy))
+    if has_v:
+        c0 = next(d for d in divisors(vy) if is_period(Vec2(0, d)))
+    if has_h and not has_v:
+        a0 = next(d for d in divisors(ux) if is_period(Vec2(d, 0)))
+        return PeriodLattice(1, (Vec2(a0, 0),))
+    if has_v and not has_h:
+        return PeriodLattice(1, (Vec2(0, c0),))
+    if not has_h and not has_v:
+        return PeriodLattice(0, ())
+    for a in divisors(ux):
+        for b in range(c0):
+            if is_period(Vec2(a, b)):
+                return PeriodLattice(2, (Vec2(a, b), Vec2(0, c0)))
+    raise AssertionError("(ux, 0) is a period")
+
+
+def test_lattice_search_tests_what_the_four_case_search_did(members, monkeypatch):
+    """On seeded random, banded, tall and local planes and the corpus family,
+    each at three shifts and transposed, the one search returns the four-case
+    search's lattice through the same period tests in the same order, and
+    the draws reach every case: rank 0, x or y alone, and a sheared rank 2."""
+    real, log = presentation._is_period, []
+
+    def logged(g, v):
+        log.append(v)
+        return real(g, v)
+
+    monkeypatch.setattr(presentation, "_is_period", logged)
+    rng = random.Random(2929)
+    al = Alphabet(("p", "q", "r"))
+    diagonals = [Block(3, 3, tuple(tuple((x + t * y) % 3 for y in range(3)) for x in range(3))) for t in (1, 2)]
+    planes = [*members.values(), *(GridPresentation(al, (0,), (1,), ((d, d), (d, d))) for d in diagonals)]
+    for draw, n in ((random_plane, 300), (banded_plane, 100), (tall_plane, 40), (local_plane, 80)):
+        planes += [draw(rng)[0] for _ in range(n)]
+    cases = set()  # each lattice's generators, as (x > 0, y > 0) per generator
+    for g in planes:
+        for v in [(0, 0), *(rng.sample(range(-7, 8), 2) for _ in range(2))]:
+            for p in (shift(g, v), transpose(shift(g, v))):
+                log.clear()
+                got, tests = period_lattice(p), log[:]
+                log.clear()
+                assert got == four_case_lattice(p, lambda u: logged(p, u)), (p, v)
+                assert tests == log, (p, v)
+                cases.add(tuple((u.x > 0, u.y > 0) for u in got.generators))
+    assert cases >= {(), ((True, False),), ((False, True),), ((True, True), (False, True))}
