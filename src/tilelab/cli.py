@@ -194,11 +194,12 @@ def emit_tileset(ts: TileSet) -> str:
     return "\n".join(out) + "\n"
 
 
-def _rows(block, alphabet: Alphabet, memo: dict | None = None) -> list[str]:
-    """Column-major block[x][y] as rows of tokens, top row first.  memo maps
-    a row of states to its text; one call's blocks may share it."""
+def _rows(block, alphabet: Alphabet, memo: dict | None = None, form=str) -> list[str]:
+    """Column-major block[x][y] as rows of tokens, top row first, each passed
+    through form (_quote for a JSON string).  memo maps a row of states to its
+    form; one call's blocks may share it."""
     toks, memo = alphabet.tokens, {} if memo is None else memo
-    return [memo[r] if r in memo else memo.setdefault(r, " ".join([toks[s] for s in r]))
+    return [memo[r] if r in memo else memo.setdefault(r, form(" ".join([toks[s] for s in r])))
             for r in reversed(list(zip(*block)))]
 
 
@@ -221,8 +222,14 @@ def _pattern_json(p: Pattern) -> dict:
     return {"width": w, "height": h, "rows": p._top_rows(w, h)}
 
 
-def _torus_json(t: TorusTiling, alphabet: Alphabet, memo: dict | None = None) -> dict:
-    return {"p": t.p, "q": t.q, "rows": _rows(t.block, alphabet, memo)}
+class _Laid(str):
+    """JSON text laid out at pad "\\n"; _json writes it as it stands, each newline made its pad."""
+
+
+def _torus_json(t: TorusTiling, alphabet: Alphabet, memo: dict | None = None) -> _Laid:
+    """The torus dict laid out from one template; memo maps a row of states to its quoted text."""
+    rows = ",\n    ".join(_rows(t.block, alphabet, memo, _quote))  # q >= 1: never empty
+    return _Laid(f'{{\n  "p": {t.p},\n  "q": {t.q},\n  "rows": [\n    {rows}\n  ]\n}}')
 
 
 def _presentation_json(g: GridPresentation) -> dict:
@@ -241,7 +248,10 @@ def _json(obj, pad: str = "\n") -> str:
     """json.dumps(obj, indent=2, sort_keys=True) for str-keyed dicts, lists,
     tuples, str, int, bool and None, with one join per container: indent
     makes the stdlib take its pure-Python encoder.  Strings are escaped by
-    the stdlib's own C function; other scalars go through json.dumps."""
+    the stdlib's own C function; other scalars go through json.dumps.  _Laid
+    text is written as it stands, indented to the pad."""
+    if type(obj) is _Laid:
+        return obj.replace("\n", pad)
     if isinstance(obj, str):
         return _quote(obj)
     if type(obj) is int:
@@ -275,7 +285,7 @@ def _cmd_patterns(ts: TileSet, args) -> int:
 
 def _cmd_torus(ts: TileSet, args) -> int:
     tilings = enumerate_torus(ts, args.max_p, args.max_q)
-    memo: dict = {}  # tori share their rows: each distinct row is rendered once
+    memo: dict = {}  # tori share their rows: each distinct row is quoted once
     _emit({"count": len(tilings), "tilings": [_torus_json(t, ts.alphabet, memo) for t in tilings]})
     return 0
 

@@ -56,8 +56,7 @@ def _fill(nstates: int, size: int, groups, keep: int | None = None) -> Iterator[
     while i >= 0:
         if i == size:
             yield cells[:keep]
-            if keep < size:  # an empty reset at every completion costs full fills about 1%
-                cells[keep:] = [-1] * (size - keep)
+            cells[keep:] = [-1] * (size - keep)
             i = keep - 1
             continue
         for s in range(cells[i] + 1, nstates):
@@ -138,19 +137,51 @@ class TransferGraph:
 
 
 def build_transfer_graph(ts: TileSet, q: int, wrap: bool) -> TransferGraph:
-    """Vertices from one cols-wide fill, edges from one (cols + 1)-wide fill.
+    """Vertices from one cols-wide fill, edges from a join of vertices on bit masks.
 
-    A valid (cols + 1)-wide strip m is exactly an edge from m[:-1] to m[1:]:
-    each end's windows are a subset of the strip's, so both ends are vertices.
-    Strips come in lexicographic order, so edges come in (i, j) order.
+    A (cols + 1)-wide strip is valid exactly when its ends u and v are
+    vertices, v continues u (v[:-1] == u[1:]) and every window cols + 1 wide
+    allows it, a narrower one lying inside u or v.  At each anchor row such a
+    window reads u's columns and v's last column only: per v-part it gets a
+    mask of vertices, ORed into one mask per u-part it allows.  u's successors
+    (its prefix's run ANDed with one mask per window) are built per u and read
+    lowest bit first: edges in (i, j) order, as from a lexicographic strip fill.
+    Bit work grows as V^2 * q / 64, a fill's as E: sparse graphs with many
+    vertices gain least (V = E = 3^10: 0.6 s against 1.0 s, 2 shared cores).
     """
     if q < 1:
         raise ValueError("q must be positive")
     cols = max(ts.hextent - 1, 1)
     vertices = tuple(_grids(ts, cols, q, wrap_y=wrap))
-    index = {v: i for i, v in enumerate(vertices)}
-    edges = tuple((index[m[:-1]], index[m[1:]]) for m in _grids(ts, cols + 1, q, wrap_y=wrap))
-    return TransferGraph(q, wrap, cols, vertices, edges)
+    n, runs = len(vertices), {}  # prefix -> [lo, hi): the vertices with it are contiguous
+    for j, v in enumerate(vertices):
+        runs.setdefault(v[:-1], [j, 0])[1] = j + 1
+    after = {p: (1 << hi) - (1 << lo) for p, (lo, hi) in runs.items()}
+    joins = []  # per window cols + 1 wide and anchor row: (u-part getter, {u-part: mask of allowed v})
+    for cells, keys in zip(ts.shape_cells, ts.allowed_keys):
+        split = sum(c.x < cols for c in cells)  # cells are x-major: u's come first
+        if split == len(cells):
+            continue  # narrower: inside u or v, checked by the vertex fill
+        for ay in range(q if wrap else q - max(c.y for c in cells)):
+            rows = [(ay + c.y) % q for c in cells]
+            vget, bits = _getter(rows[split:]), {}  # v-part -> mask digits, highest bit first
+            for j, v in enumerate(vertices):
+                b = bits.get(vp := vget(v[-1])) or bits.setdefault(vp, bytearray(b"0" * n))
+                b[n - 1 - j] = 49  # "1"
+            vmask, umask = {vp: int(b, 2) for vp, b in bits.items()}, {}
+            for key in keys:
+                umask[key[:split]] = umask.get(key[:split], 0) | vmask.get(key[split:], 0)
+            joins.append((_getter([c.x * q + r for c, r in zip(cells, rows[:split])]), umask))
+    edges, ids = [], list(range(n))  # one int object per index, shared by the edges that name it
+    for i, u in zip(ids, vertices):
+        succ, flat = after.get(u[1:], 0), sum(u, ())
+        for uget, umask in joins:
+            succ &= umask.get(uget(flat), 0)
+        while succ:
+            low = succ & -succ
+            edges.append((i, ids[low.bit_length() - 1]))
+            succ ^= low
+    return TransferGraph(q, wrap, cols, vertices, tuple(edges))
 
 
 def _adjacency(g: TransferGraph) -> list[dict[int, int]]:

@@ -406,17 +406,20 @@ def occurrences(g: GridPresentation, p: Pattern):
 
 def is_valid(g: GridPresentation, ts: TileSet) -> bool:
     """Whether the presented configuration is a tiling for ts: every shape
-    window content (all realized in the scan box) must be allowed.  Each
-    distinct bounding-box content is read once, projected to the shape."""
+    window content (all realized in the scan box) must be allowed.  One window
+    set, ts.hextent x ts.vextent, is read: a shape's box at p is the corner
+    part of the extent window at p, checked once per distinct part."""
     if ts.alphabet != g.alphabet:
         raise ValueError("alphabet mismatch")
-    k = len(g.alphabet)
+    k, height = len(g.alphabet), ts.vextent
+    keys = g._index.rect_keys(ts.hextent, height)
     for cells, allowed in zip(ts.shape_cells, ts.allowed_keys):
         w = max(c.x for c in cells) + 1
         h = max(c.y for c in cells) + 1
         idx = [c.x * h + c.y for c in cells]
-        for key in g._index.rect_keys(w, h):
-            flat = _decode(key, h, k)
+        cut = k ** (height - h)  # a code's leading h digits are its lowest h rows
+        for part in {tuple([code // cut for code in key[:w]]) for key in keys}:
+            flat = _decode(part, h, k)
             if tuple(flat[i] for i in idx) not in allowed:
                 return False
     return True

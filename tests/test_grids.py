@@ -31,6 +31,7 @@ from tilelab.lang import (
     _anchor_checks,
     _fill,
     _getter,
+    _grids,
     _square_count,
     admissible_squares,
     build_transfer_graph,
@@ -106,6 +107,60 @@ def test_open_transfer_graph_matches_oracle_strips(case):
         index = {v: i for i, v in enumerate(want_vertices)}
         strips = brute.squares_rect(k, cons, g.cols + 1, q)
         assert g.edges == tuple(sorted((index[m[:-1]], index[m[1:]]) for m in strips))
+
+
+def test_wrap_transfer_graph_matches_oracle_strips(case_or_corpus):
+    """q 1-4, leaving out the two 3-state row-of-3 sets at q 4, where the
+    oracle would recheck some 500,000 three-column cylinder strips."""
+    ts = case_or_corpus
+    k, cons = len(ts.alphabet), _constraints(ts)
+    for q in range(1, 5):
+        g = build_transfer_graph(ts, q, wrap=True)
+        if k ** ((g.cols + 1) * q) > 10**5:
+            continue
+        want_vertices = sorted(brute.cylinder_strips(k, cons, g.cols, q))
+        assert g.vertices == tuple(want_vertices)
+        index = {v: i for i, v in enumerate(want_vertices)}
+        strips = brute.cylinder_strips(k, cons, g.cols + 1, q)
+        assert g.edges == tuple(sorted((index[m[:-1]], index[m[1:]]) for m in strips))
+
+
+DIAGONAL = frozenset((Vec2(0, 0), Vec2(1, 1)))
+KNIGHT = frozenset((Vec2(0, 0), Vec2(2, 1)))
+COLUMN3 = frozenset(Vec2(0, y) for y in range(3))
+JOIN_KINDS = (
+    (frozenset((Vec2(0, 0), Vec2(1, 0))), VDOMINO), (SQUARE,), (ROW3,), (ROW3, VDOMINO),
+    (DIAGONAL,), (KNIGHT,), (COLUMN3,), (COLUMN3, frozenset((Vec2(0, 0), Vec2(1, 0)))),
+)
+
+
+def _strip_fill_graph(ts: TileSet, q: int, wrap: bool):
+    """The edge build the join replaced: one (cols + 1)-wide strip fill, each valid strip m an edge m[:-1] -> m[1:]."""
+    cols = max(ts.hextent - 1, 1)
+    vertices = tuple(_grids(ts, cols, q, wrap))
+    index = {v: i for i, v in enumerate(vertices)}
+    return vertices, tuple((index[m[:-1]], index[m[1:]]) for m in _grids(ts, cols + 1, q, wrap))
+
+
+def test_edge_join_matches_the_strip_fill():
+    """Vertex and edge tuples, order included, on 504 seeded sets at q 1-4,
+    open and wrap, over every kind of JOIN_KINDS (the column of 3 is taller
+    than q at q 1 and 2), with three states at q 1 and 2 only.  Each kind
+    but the lone column of 3 (where every vertex pair is an edge) yields some
+    graph that has edges and lacks others."""
+    partial = set()
+    for seed in range(504):
+        rng = random.Random(f"join/{seed}")
+        shapes = JOIN_KINDS[seed % len(JOIN_KINDS)]
+        nstates = 3 if seed % 5 == 0 else 2
+        ts = _random_tileset(rng, nstates, shapes, density=rng.uniform(0.3, 0.9))
+        for q in range(1, 5 if nstates == 2 else 3):
+            for wrap in (False, True):
+                g = build_transfer_graph(ts, q, wrap)
+                assert (g.vertices, g.edges) == _strip_fill_graph(ts, q, wrap), (seed, q, wrap)
+                if 0 < len(g.edges) < len(g.vertices) ** 2:
+                    partial.add(shapes)
+    assert partial == set(JOIN_KINDS) - {(COLUMN3,)}
 
 
 @pytest.mark.parametrize("wrap_y", [False, True], ids=["open", "wrap"])

@@ -1,0 +1,106 @@
+"""Check that two source trees give byte-identical CLI answers.
+
+    python3 tools/cli_identity.py PARENT CHANGE [--seeds 11 12]
+
+PARENT and CHANGE are checkouts of this repository.  The calls are every
+benchmark query of the three workloads at each seed, generated once with
+bench/gen.py at the benchmark's own sizes, and a fixed list of calls on the
+corpus (`--seeds` with no value runs the corpus calls only).  Each tree runs
+all calls in one subprocess of its own, through its own `tilelab.cli.main`,
+on the same input files.  Exit code, stdout and stderr are compared call by
+call; the script prints each difference and exits 1 if there is any.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
+
+# reads a JSON list of argv lists on stdin; prints [exit code, stdout, stderr] per call
+_RUNNER = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import tilelab.cli
+assert tilelab.cli.__file__.startswith(sys.argv[1]), tilelab.cli.__file__
+out = []
+for argv in json.load(sys.stdin):
+    so, se = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(so), contextlib.redirect_stderr(se):
+        try:
+            code = tilelab.cli.main(argv)
+        except SystemExit as e:  # argparse refusals
+            code = e.code
+    out.append([code, so.getvalue(), se.getvalue()])
+json.dump(out, sys.stdout)
+"""
+
+
+def corpus_calls() -> list[list[str]]:
+    """validate and analyze on every corpus plane, order and cb on the
+    corpus family, and the tile-set subcommands on both corpus tile sets."""
+    stripes, sets = str(CORPUS / "stripes.tiles"), [str(CORPUS / n) for n in ("stripes.tiles", "checkerboard.tiles")]
+    planes = sorted((CORPUS / "family").glob("*.pres")) + sorted((CORPUS / "invalid").glob("*.pres"))
+    calls = [[cmd, stripes, str(p)] for p in planes for cmd in ("validate", "analyze")]
+    calls += [[cmd, stripes, str(CORPUS / "family"), "--window", str(w)] for w in (2, 3, 4, 6, 8) for cmd in ("order", "cb")]
+    for ts in sets:
+        calls += [["weak-periodic", ts, "--max-period", str(m)] for m in range(1, 5)]
+        calls += [["patterns", ts, "--size", str(n), "--margin", str(m), *c]
+                  for n in range(1, 4) for m in range(3) for c in ([], ["--count"])]
+        calls += [["torus", ts, "--max-p", "3", "--max-q", "3"], ["classify", ts, "--budget", "3"]]
+    return calls
+
+
+def benchmark_calls(seeds, work: Path) -> list[list[str]]:
+    """Every query of every benchmark workload at each seed, written under work."""
+    if not seeds:
+        return []
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    import gen
+    from run import WORKLOADS
+
+    calls = []
+    for seed in seeds:
+        for name, wl in sorted(WORKLOADS.items()):
+            out = work / f"{name}-{seed}"
+            out.mkdir()
+            calls += [list(q.argv) for q in getattr(gen, name)(seed, out, *wl.sizes)]
+    return calls
+
+
+def run_tree(tree: Path, calls) -> list:
+    src = str((tree / "src").resolve())
+    done = subprocess.run([sys.executable, "-c", _RUNNER, src], input=json.dumps(calls),
+                          capture_output=True, text=True, cwd=tree)
+    if done.returncode:
+        sys.exit(f"{tree}: runner failed\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--seeds", type=int, nargs="*", default=[11, 12])
+    args = ap.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        calls = corpus_calls() + benchmark_calls(args.seeds, Path(tmp))
+        answers = [run_tree(tree, calls) for tree in (args.parent, args.change)]
+    differ = 0
+    for call, a, b in zip(calls, *answers):
+        parts = [part for part, x, y in zip(("exit code", "stdout", "stderr"), a, b) if x != y]
+        if parts:
+            differ += 1
+            print(f"differ in {', '.join(parts)}: {' '.join(call)}")
+    print(f"{len(calls)} calls, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
