@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .core import TileSet
-from .presentation import GridPresentation, is_valid
+from .presentation import GridPresentation, _first_invalid
 
 
 def preceq(x: GridPresentation, y: GridPresentation, n: int) -> bool:
@@ -34,23 +34,22 @@ def saturation_window(g: GridPresentation) -> int:
 class TilingFamily:
     """Ordered, named members presenting tilings of one tile set.
 
-    window is the base comparison size; every member is read at one size N,
-    window raised to every member's saturation size, so enlarging window
-    further never changes the reported order.
+    window is the base comparison size; every member is read at one size N, window raised
+    to every member's saturation size, so enlarging window further never changes the reported
+    order.  After the alphabets, members are validated in one check on the union of their extent window sets.
     """
 
     def __init__(self, tileset: TileSet, members, window: int, validate: bool = True):
         members = tuple((name, pres) for name, pres in members)
-        names = [name for name, _ in members]
-        if len(set(names)) != len(names):
+        if len(dict(members)) != len(members):
             raise ValueError("member names must be distinct")
         if window < max(tileset.hextent, tileset.vextent):
             raise ValueError("window smaller than the largest constraint extent")
         for name, pres in members:
             if pres.alphabet != tileset.alphabet:
                 raise ValueError(f"member {name}: alphabet mismatch")
-            if validate and not is_valid(pres, tileset):
-                raise ValueError(f"member {name} is not a tiling of the tile set")
+        if validate and (bad := _first_invalid([pres for _, pres in members], tileset)) is not None:
+            raise ValueError(f"member {members[bad][0]} is not a tiling of the tile set")
         self.tileset = tileset
         self.window = window
         self.members = members

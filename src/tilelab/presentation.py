@@ -405,17 +405,26 @@ def occurrences(g: GridPresentation, p: Pattern):
 
 
 def is_valid(g: GridPresentation, ts: TileSet) -> bool:
-    """Whether the presented configuration is a tiling for ts: every shape
-    window content (all realized in the scan box) must be allowed.  One window
-    set, ts.hextent x ts.vextent, is read: a shape's box at p is the corner
-    part of the extent window at p, checked once per distinct part."""
+    """Whether g presents a tiling for ts, as a batch of one (`_first_invalid`)."""
     if ts.alphabet != g.alphabet:
         raise ValueError("alphabet mismatch")
-    k, height = len(g.alphabet), ts.vextent
-    keys = g._index.rect_keys(ts.hextent, height)
+    return _first_invalid([g], ts) is None
+
+
+def _first_invalid(planes, ts: TileSet) -> int | None:
+    """Index of the first plane not a tiling for ts, or None (alphabets checked by the caller).  Keys name
+    contents exactly, so one part check on the extent window sets' union clears all; a failure is traced set by set."""
+    sets = [g._index.rect_keys(ts.hextent, ts.vextent) for g in planes]
+    bad = (i for i, keys in enumerate(sets) if not _parts_allowed(keys, ts))
+    return None if _parts_allowed(frozenset().union(*sets), ts) else next(bad)
+
+
+def _parts_allowed(keys, ts: TileSet) -> bool:
+    """The part check: whether the extent window keys show only allowed shape contents.  A shape's
+    box at p is the corner part of the extent window at p, checked once per distinct part."""
+    k, height = len(ts.alphabet), ts.vextent
     for cells, allowed in zip(ts.shape_cells, ts.allowed_keys):
-        w = max(c.x for c in cells) + 1
-        h = max(c.y for c in cells) + 1
+        w, h = max(c.x for c in cells) + 1, max(c.y for c in cells) + 1
         idx = [c.x * h + c.y for c in cells]
         cut = k ** (height - h)  # a code's leading h digits are its lowest h rows
         for part in {tuple([code // cut for code in key[:w]]) for key in keys}:

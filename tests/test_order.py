@@ -5,6 +5,7 @@ import pytest
 from oracle import brute
 from conftest import corpus_planes, make_a, order_reads
 from test_cb import random_family
+from tilelab.core import Alphabet, Pattern, TileSet
 from tilelab.order import (
     TilingFamily,
     _Preorder,
@@ -16,7 +17,7 @@ from tilelab.order import (
     preceq,
     saturation_window,
 )
-from tilelab.presentation import shift, uniform
+from tilelab.presentation import Block, GridPresentation, _Analysis, is_valid, shift, uniform
 
 PLANES = corpus_planes()
 
@@ -69,6 +70,92 @@ def test_family_validation(stripes, members):
     with pytest.raises(ValueError):
         TilingFamily(stripes, [("bad", invalid)], 6)
     TilingFamily(stripes, [("bad", invalid)], 6, validate=False)
+
+
+def test_alphabet_mismatch_comes_before_validity(stripes):
+    """Every member's alphabet is checked before any member's validity, so an
+    invalid member followed by one over another alphabet reports the mismatch."""
+    invalid = GridPresentation(stripes.alphabet, (), (0,), ((Block.filled(1, 1, 1), Block.filled(1, 1, 2)),))
+    other = uniform(Alphabet(("x", "y")), 0)
+    with pytest.raises(ValueError, match="^member bad is not a tiling of the tile set$"):
+        TilingFamily(stripes, [("bad", invalid)], 6)
+    with pytest.raises(ValueError, match="^member other: alphabet mismatch$"):
+        TilingFamily(stripes, [("bad", invalid), ("other", other)], 6)
+
+
+def test_family_validation_checks_parts_once(stripes, members, monkeypatch):
+    """A family reads one extent window set per member and runs the part
+    check once, on their union; a family built unvalidated, as derivative
+    rounds build theirs, reads no extent set."""
+    from tilelab import presentation
+    from tilelab.cb import derivative
+
+    checks, reads = [], []
+    real_check, real_keys = presentation._parts_allowed, _Analysis.rect_keys
+    monkeypatch.setattr(presentation, "_parts_allowed", lambda keys, ts: checks.append(keys) or real_check(keys, ts))
+    monkeypatch.setattr(_Analysis, "rect_keys", lambda a, w, h: reads.append((a, w, h)) or real_keys(a, w, h))
+    extent = (stripes.hextent, stripes.vextent)
+    f = TilingFamily(stripes, sorted(members.items()), 6)
+    assert len(checks) == 1
+    assert checks[0] == frozenset().union(*(real_keys(p._index, *extent) for _, p in f.members))
+    assert reads == [(p._index, *extent) for _, p in f.members]
+    checks.clear(), reads.clear()
+    TilingFamily(stripes, sorted(members.items()), 6, validate=False)
+    derivative(derivative(f))
+    assert not checks
+    assert reads and all((w, h) != extent for _, w, h in reads)
+
+
+DOMINOES = (((0, 0), (1, 0)), ((0, 0), (0, 1)))
+
+
+def _validity_draw(rng):
+    """(members, per-member oracle box grids, domino constraints): 1-6 planes
+    drawn from the seeded generators over one 2- or 3-state alphabet, each
+    grid at a reach where every domino content of its plane shows, and rules
+    that allow the dominoes the members show less 0-2 of those the fewest
+    members show.  Members come in shuffled order, named against it."""
+    from test_presentation import BAND_NEAR, REACH, banded_plane, local_plane, random_plane
+
+    k, n, planes = rng.randint(2, 3), rng.randint(1, 6), []
+    while len(planes) < n:
+        g, fn, *local = rng.choice((random_plane, banded_plane, local_plane))(rng)
+        if len(g.alphabet) == k:
+            reach = max(abs(c) for axis in local[0] for c in axis) + local[1] + 4 if local else max(REACH, BAND_NEAR)
+            planes.append((g, brute.box_grid(fn, reach)))
+    shows = [{(offsets, tuple(grid[x + dx][y + dy] for dx, dy in offsets)) for offsets in DOMINOES
+              for x in range(len(grid) - 1) for y in range(len(grid) - 1)} for _, grid in planes]
+    # most planes show nearly every domino, so only the rarest drops spare some members
+    shown = sorted(set().union(*shows), key=lambda d: (sum(d in s for s in shows), rng.random()))
+    allowed = set(shown[rng.randint(0, 2):])
+    for offsets in DOMINOES:  # every shape keeps a pattern
+        if not any(o == offsets for o, _ in allowed):
+            allowed.add(next(d for d in shown if d[0] == offsets))
+    constraints = [(offsets, frozenset(c for o, c in allowed if o == offsets)) for offsets in DOMINOES]
+    rng.shuffle(planes)  # so the first invalid member is not the one drawn first
+    names = [f"m{n - i}" for i in range(n)]  # family order is not name order
+    return list(zip(names, (g for g, _ in planes))), [grid for _, grid in planes], constraints
+
+
+def test_family_names_its_first_invalid_member_as_the_oracle_does():
+    """Seeded families of generated planes under domino rules with shown
+    pairs dropped: the family names exactly the first member the oracle finds
+    invalid, in family order, or builds when there is none."""
+    invalids = []
+    for seed in range(60):
+        members, grids, constraints = _validity_draw(random.Random(f"family-validity/{seed}"))
+        al = members[0][1].alphabet
+        ts = TileSet.from_allowed(al, [Pattern(al, dict(zip(offsets, combo)))
+                                       for offsets, allowed in constraints for combo in allowed])
+        bad = [i for i, grid in enumerate(grids) if not brute.grid_ok(constraints, grid)]
+        assert [i for i, (_, g) in enumerate(members) if not is_valid(g, ts)] == bad, seed
+        if bad:
+            with pytest.raises(ValueError, match=f"^member {members[bad[0]][0]} is not a tiling of the tile set$"):
+                TilingFamily(ts, members, 2)
+        else:
+            assert TilingFamily(ts, members, 2).members == tuple(members)
+        invalids.append(bad)
+    assert [] in invalids and any(len(bad) >= 2 and bad[0] > 0 for bad in invalids), invalids
 
 
 def test_comparisons_use_saturated_windows(family6):

@@ -7,14 +7,17 @@ benchmark query of the three workloads at each seed, generated once with
 bench/gen.py at the benchmark's own sizes, and a fixed list of calls on the
 corpus (`--seeds` with no value runs the corpus calls only).  Each tree runs
 all calls in one subprocess of its own, through its own `tilelab.cli.main`,
-on the same input files.  Exit code, stdout and stderr are compared call by
-call; the script prints each difference and exits 1 if there is any.
+on the same input files, in one temporary working directory: the corpus
+calls name the mixed family written there by a relative path.  Exit code,
+stdout and stderr are compared call by call; the script prints each
+difference and exits 1 if there is any.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -22,6 +25,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
+MIXED = "mixed_family"  # written by write_mixed_family in the runners' working directory
 
 # reads a JSON list of argv lists on stdin; prints [exit code, stdout, stderr] per call
 _RUNNER = """
@@ -42,13 +46,25 @@ json.dump(out, sys.stdout)
 """
 
 
+def write_mixed_family(work: Path) -> None:
+    """The corpus family plus two invalid members, a vertical and a horizontal
+    seam that stripes forbids, whose stems sort apart: a family that is refused
+    for its first invalid member in name order, with another one after it."""
+    shutil.copytree(CORPUS / "family", work / MIXED)
+    shutil.copy(CORPUS / "invalid" / "white_over_green.pres", work / MIXED)
+    (work / MIXED / "green_left_of_white.pres").write_text(
+        "presentation\nxcuts 0\nregion 0 0 1 1\nG\nregion 1 0 1 1\nW\n")
+
+
 def corpus_calls() -> list[list[str]]:
-    """validate and analyze on every corpus plane, order and cb on the
-    corpus family, and the tile-set subcommands on both corpus tile sets."""
+    """validate and analyze on every corpus plane; order and cb on the corpus
+    family, on the invalid corpus directory and on the mixed family (both
+    exit 2); and the tile-set subcommands on both corpus tile sets."""
     stripes, sets = str(CORPUS / "stripes.tiles"), [str(CORPUS / n) for n in ("stripes.tiles", "checkerboard.tiles")]
     planes = sorted((CORPUS / "family").glob("*.pres")) + sorted((CORPUS / "invalid").glob("*.pres"))
     calls = [[cmd, stripes, str(p)] for p in planes for cmd in ("validate", "analyze")]
     calls += [[cmd, stripes, str(CORPUS / "family"), "--window", str(w)] for w in (2, 3, 4, 6, 8) for cmd in ("order", "cb")]
+    calls += [[cmd, stripes, fam, "--window", "6"] for fam in (str(CORPUS / "invalid"), MIXED) for cmd in ("order", "cb")]
     for ts in sets:
         calls += [["weak-periodic", ts, "--max-period", str(m)] for m in range(1, 5)]
         calls += [["patterns", ts, "--size", str(n), "--margin", str(m), *c]
@@ -74,10 +90,10 @@ def benchmark_calls(seeds, work: Path) -> list[list[str]]:
     return calls
 
 
-def run_tree(tree: Path, calls) -> list:
+def run_tree(tree: Path, calls, work: Path) -> list:
     src = str((tree / "src").resolve())
     done = subprocess.run([sys.executable, "-c", _RUNNER, src], input=json.dumps(calls),
-                          capture_output=True, text=True, cwd=tree)
+                          capture_output=True, text=True, cwd=work)
     if done.returncode:
         sys.exit(f"{tree}: runner failed\n{done.stderr}")
     return json.loads(done.stdout)
@@ -90,8 +106,10 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=int, nargs="*", default=[11, 12])
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        calls = corpus_calls() + benchmark_calls(args.seeds, Path(tmp))
-        answers = [run_tree(tree, calls) for tree in (args.parent, args.change)]
+        work = Path(tmp)
+        write_mixed_family(work)
+        calls = corpus_calls() + benchmark_calls(args.seeds, work)
+        answers = [run_tree(tree, calls, work) for tree in (args.parent, args.change)]
     differ = 0
     for call, a, b in zip(calls, *answers):
         parts = [part for part, x, y in zip(("exit code", "stdout", "stderr"), a, b) if x != y]
