@@ -184,38 +184,23 @@ def build_transfer_graph(ts: TileSet, q: int, wrap: bool) -> TransferGraph:
     return TransferGraph(q, wrap, cols, vertices, tuple(edges))
 
 
-def _adjacency(g: TransferGraph) -> list[dict[int, int]]:
-    return [dict.fromkeys(succ, 1) for succ in g.successors().values()]
-
-
-def _mat_mul(a, b):
-    """Product of matrices stored sparsely: row i is {j: entry}, zeros left out."""
-    out: list[dict[int, int]] = [{} for _ in a]
-    for acc, row in zip(out, a):
-        for k, x in row.items():
-            for j, y in b[k].items():
-                acc[j] = acc.get(j, 0) + x * y
-    return out
-
-
-def _mat_pow(a, e):
-    out = [{i: 1} for i in range(len(a))]
-    base = a
-    while e:
-        if e & 1:
-            out = _mat_mul(out, base)
-        e >>= 1
-        if e:
-            base = _mat_mul(base, base)
-    return out
+def _walks(succ: dict[int, list[int]], counts: dict[int, int], steps: int) -> dict[int, int]:
+    """The sparse count vector counts (vertex -> walks ending there) pushed steps edges along succ."""
+    for _ in range(steps):
+        ahead: dict[int, int] = {}
+        for v, c in counts.items():
+            for w in succ[v]:
+                ahead[w] = ahead.get(w, 0) + c
+        counts = ahead
+    return counts
 
 
 def count_torus(ts: TileSet, p: int, q: int) -> int:
-    """Number of valid p x q torus blocks, as closed p-walks in the wrap graph."""
+    """Number of valid p x q torus blocks, as closed p-walks in the wrap graph: tr(A^p), one row at a time."""
     if p < 1:
         raise ValueError("p must be positive")
-    a = _adjacency(build_transfer_graph(ts, q, wrap=True))
-    return sum(row.get(i, 0) for i, row in enumerate(_mat_pow(a, p)))
+    succ = build_transfer_graph(ts, q, wrap=True).successors()
+    return sum(_walks(succ, {i: 1}, p).get(i, 0) for i in succ)
 
 
 def _square_count(ts: TileSet, n: int) -> int:
@@ -224,8 +209,5 @@ def _square_count(ts: TileSet, n: int) -> int:
     cols = max(ts.hextent - 1, 1)
     if n <= cols:  # also rejects n < 1
         return len(admissible_squares(ts, n))
-    g = build_transfer_graph(ts, n, wrap=False)
-    a, walks = _adjacency(g), [dict.fromkeys(range(len(g.vertices)), 1)]
-    for _ in range(n - cols):
-        walks = _mat_mul(walks, a)
-    return sum(walks[0].values())
+    succ = build_transfer_graph(ts, n, wrap=False).successors()
+    return sum(_walks(succ, dict.fromkeys(succ, 1), n - cols).values())

@@ -9,11 +9,13 @@ walks are also checked against a flat fill of the wrapped torus, and on tori
 up to 6 wide against count_torus.  Admissible and extensible squares, and
 the patterns built without per-cell checks, are checked on domino sets with
 and without an extra 2 x 2 or 3 x 1 rule, and so is the square count read
-off walks on the open transfer graph.  The fill that keeps a prefix of each
-completion is checked against the full fill, and the one center-first fill
-of extensible squares against the per-square search it replaced, which is
-restated here as the referee.  The pruned Lyndon-walk search is
-checked on random graphs against every closed walk.  The vertical rotation
+off walks on the open transfer graph.  The one walk counter behind both
+counts is checked against the sparse matrix power and product it replaced,
+restated here as the referee, to walks 10 long.  The fill that keeps a
+prefix of each completion is checked against the full fill, and the one
+center-first fill of extensible squares against the per-square search it
+replaced, which is restated here as the referee.  The pruned Lyndon-walk
+search is checked on random graphs against every closed walk.  The vertical rotation
 of a wrap graph is checked to be a graph automorphism, and the torus search
 that prunes with it against the block-tuple filter it replaced.
 """
@@ -461,6 +463,82 @@ def test_square_count_of_dying_and_constant_languages():
         assert _square_count(dying, n) == len(admissible_squares(dying, n)) == [2, 1, 0, 0][n - 1]
     one = TileSet.dominoes(Alphabet(("a",)), [("a", "a")], [("a", "a")])
     assert _square_count(one, 32) == len(admissible_squares(one, 32)) == 1
+
+
+def _mat_mul(a, b):
+    """Product of matrices stored sparsely: row i is {j: entry}, zeros left out."""
+    out: list[dict[int, int]] = [{} for _ in a]
+    for acc, row in zip(out, a):
+        for k, x in row.items():
+            for j, y in b[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+    return out
+
+
+def _mat_pow(a, e):
+    out = [{i: 1} for i in range(len(a))]
+    base = a
+    while e:
+        if e & 1:
+            out = _mat_mul(out, base)
+        e >>= 1
+        if e:
+            base = _mat_mul(base, base)
+    return out
+
+
+def _adjacency(g: TransferGraph) -> list[dict[int, int]]:
+    return [dict.fromkeys(succ, 1) for succ in g.successors().values()]
+
+
+def _power_torus_count(ts: TileSet, p: int, q: int) -> int:
+    """The count_torus that the walk counter replaced: tr(A^p) by sparse matrix squaring."""
+    return sum(row.get(i, 0) for i, row in enumerate(_mat_pow(_adjacency(build_transfer_graph(ts, q, wrap=True)), p)))
+
+
+def _product_square_count(ts: TileSet, n: int) -> int:
+    """The _square_count that the walk counter replaced: an all-ones row multiplied by A, n - cols times."""
+    g = build_transfer_graph(ts, n, wrap=False)
+    a, walks = _adjacency(g), [dict.fromkeys(range(len(g.vertices)), 1)]
+    for _ in range(n - g.cols):
+        walks = _mat_mul(walks, a)
+    return sum(walks[0].values())
+
+
+WALK_SHAPES = {"dominoes": (HDOMINO, VDOMINO), "square": (SQUARE,), "row3": (ROW3,)}
+# (kind, states, seed, density, largest square): square sizes stop where the
+# open strip graph passes a few hundred vertices (3 ** n on three states,
+# 4 ** n with row3's two-column vertices); row3 sets are sparse, as row3
+# leaves columns free and its q-high wrap graph has k ** (2 * q) vertices
+WALK_CASES = [("dominoes", 2, 0, 0.6, 7), ("dominoes", 2, 1, 0.6, 7), ("dominoes", 3, 0, 0.6, 7),
+              ("square", 2, 0, 0.6, 7), ("square", 2, 1, 0.6, 7), ("square", 3, 0, 0.6, 5),
+              ("row3", 2, 1, 0.5, 5), ("row3", 3, 0, 0.4, 3)]
+
+
+def test_walk_counts_match_the_matrix_referee():
+    """count_torus at p 1-10 (q 1-4 on two states, 1-3 on three) and
+    _square_count up to each case's largest square, against the sparse
+    matrix power and product they replaced, on seeded sets, on a set with no
+    valid column (no vertex at any height) and on a one-state set (one
+    vertex, one loop).  Some seeded wrap graph has a vertex with no
+    successor, where every walk through it ends."""
+    al = Alphabet(("a", "b"))
+    sets = [(_random_tileset(random.Random(f"walks/{kind}/{k}/{seed}"), k, WALK_SHAPES[kind], density), k, top)
+            for kind, k, seed, density, top in WALK_CASES]
+    sets += [(TileSet(al, (frozenset({Vec2(0, 0)}),), (frozenset(),)), 2, 7),
+             (TileSet.dominoes(Alphabet(("a",)), [("a", "a")], [("a", "a")]), 1, 7)]
+    dead_ends = 0
+    for i, (ts, k, top) in enumerate(sets):
+        for q in range(1, 5 if k <= 2 else 4):
+            succ = build_transfer_graph(ts, q, wrap=True).successors()
+            dead_ends += sum(not s for s in succ.values())
+            for p in range(1, 11):
+                assert count_torus(ts, p, q) == _power_torus_count(ts, p, q), (i, p, q)
+        cols = max(ts.hextent - 1, 1)
+        for n in range(cols + 1, top + 1):
+            assert _square_count(ts, n) == _product_square_count(ts, n), (i, n)
+    assert dead_ends
+    assert [count_torus(sets[-2][0], 3, 2), count_torus(sets[-1][0], 10, 4), _square_count(sets[-1][0], 7)] == [0, 1, 1]
 
 
 def _lyndon_walks_brute(n: int, edges, p: int):

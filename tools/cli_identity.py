@@ -8,8 +8,9 @@ bench/gen.py at the benchmark's own sizes, and a fixed list of calls on the
 corpus (`--seeds` with no value runs the corpus calls only).  Each tree runs
 all calls in one subprocess of its own, through its own `tilelab.cli.main`,
 on the same input files, in one temporary working directory: the corpus
-calls name the mixed family written there by a relative path.  Exit code,
-stdout and stderr are compared call by call; the script prints each
+calls name the mixed family written there by a relative path, and the dot
+file of `order --dot` too.  Exit code, stdout, stderr and the text of a
+written dot file are compared call by call; the script prints each
 difference and exits 1 if there is any.
 """
 
@@ -25,23 +26,29 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
+OUTCOMES = CORPUS / "outcomes"
 MIXED = "mixed_family"  # written by write_mixed_family in the runners' working directory
 
-# reads a JSON list of argv lists on stdin; prints [exit code, stdout, stderr] per call
+# reads a JSON list of argv lists on stdin; prints [exit code, stdout, stderr,
+# dot text] per call, the dot text None unless the call wrote its --dot file
 _RUNNER = """
 import contextlib, io, json, sys
+from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 import tilelab.cli
 assert tilelab.cli.__file__.startswith(sys.argv[1]), tilelab.cli.__file__
 out = []
 for argv in json.load(sys.stdin):
+    dot = Path(argv[argv.index("--dot") + 1]) if "--dot" in argv else None
+    if dot:
+        dot.unlink(missing_ok=True)  # the other tree's file
     so, se = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(so), contextlib.redirect_stderr(se):
         try:
             code = tilelab.cli.main(argv)
         except SystemExit as e:  # argparse refusals
             code = e.code
-    out.append([code, so.getvalue(), se.getvalue()])
+    out.append([code, so.getvalue(), se.getvalue(), dot.read_text() if dot and dot.exists() else None])
 json.dump(out, sys.stdout)
 """
 
@@ -59,7 +66,11 @@ def write_mixed_family(work: Path) -> None:
 def corpus_calls() -> list[list[str]]:
     """validate and analyze on every corpus plane; order and cb on the corpus
     family, on the invalid corpus directory and on the mixed family (both
-    exit 2); and the tile-set subcommands on both corpus tile sets."""
+    exit 2); the tile-set subcommands on both corpus tile sets; and the
+    outcomes that these calls do not reach, on the small sets of
+    corpus/outcomes: an empty and an unknown classify answer, a forbidden-mode
+    file, a witness found only in the transposed orientation, a malformed
+    tile-set file and a malformed plane (both exit 2), and `order --dot`."""
     stripes, sets = str(CORPUS / "stripes.tiles"), [str(CORPUS / n) for n in ("stripes.tiles", "checkerboard.tiles")]
     planes = sorted((CORPUS / "family").glob("*.pres")) + sorted((CORPUS / "invalid").glob("*.pres"))
     calls = [[cmd, stripes, str(p)] for p in planes for cmd in ("validate", "analyze")]
@@ -70,6 +81,15 @@ def corpus_calls() -> list[list[str]]:
         calls += [["patterns", ts, "--size", str(n), "--margin", str(m), *c]
                   for n in range(1, 4) for m in range(3) for c in ([], ["--count"])]
         calls += [["torus", ts, "--max-p", "3", "--max-q", "3"], ["classify", ts, "--budget", "3"]]
+    dies, cycle, hard, rows, bad, bad_plane = (str(OUTCOMES / n) for n in (
+        "dies_at_3.tiles", "four_cycle.tiles", "hard_squares.tiles", "constant_rows.tiles", "bad_token.tiles", "bad_row.pres"))
+    calls += [["classify", dies, "--budget", "4"], ["classify", cycle, "--budget", "3"],
+              ["torus", cycle, "--max-p", "4", "--max-q", "2"], ["patterns", cycle, "--size", "5", "--count"],
+              ["patterns", hard, "--size", "3"], ["patterns", hard, "--size", "4", "--count"],
+              ["classify", hard, "--budget", "3"], ["weak-periodic", rows, "--max-period", "2"],
+              ["validate", bad, str(CORPUS / "family" / "a1.pres")], ["torus", bad, "--max-p", "2", "--max-q", "2"],
+              ["validate", stripes, bad_plane], ["analyze", stripes, bad_plane],
+              ["order", stripes, str(CORPUS / "family"), "--window", "6", "--dot", "order.dot"]]
     return calls
 
 
@@ -112,7 +132,7 @@ def main(argv=None) -> int:
         answers = [run_tree(tree, calls, work) for tree in (args.parent, args.change)]
     differ = 0
     for call, a, b in zip(calls, *answers):
-        parts = [part for part, x, y in zip(("exit code", "stdout", "stderr"), a, b) if x != y]
+        parts = [part for part, x, y in zip(("exit code", "stdout", "stderr", "dot file"), a, b) if x != y]
         if parts:
             differ += 1
             print(f"differ in {', '.join(parts)}: {' '.join(call)}")
