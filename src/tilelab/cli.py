@@ -22,11 +22,11 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .cb import ranks
-from .core import _PAIR_CELLS, Alphabet, Pattern, TileSet, TorusTiling, Vec2, to_forbidden
+from .core import _PAIR_CELLS, Alphabet, Pattern, TileSet, Vec2, to_forbidden
 from .lang import _square_count, extensible_squares
 from .order import TilingFamily, hasse, level_of, maximal_classes, minimal_classes
 from .presentation import Block, GridPresentation, TypeB, is_valid, period_lattice, type_of
-from .solver import Empty, PeriodicFound, classify, enumerate_torus, weak_periodic_witness
+from .solver import Empty, PeriodicFound, _tori, classify, weak_periodic_witness
 
 
 class ParseError(ValueError):
@@ -194,13 +194,10 @@ def emit_tileset(ts: TileSet) -> str:
     return "\n".join(out) + "\n"
 
 
-def _rows(block, alphabet: Alphabet, memo: dict | None = None, form=str) -> list[str]:
-    """Column-major block[x][y] as rows of tokens, top row first, each passed
-    through form (_quote for a JSON string).  memo maps a row of states to its
-    form; one call's blocks may share it."""
-    toks, memo = alphabet.tokens, {} if memo is None else memo
-    return [memo[r] if r in memo else memo.setdefault(r, form(" ".join([toks[s] for s in r])))
-            for r in reversed(list(zip(*block)))]
+def _rows(block, alphabet: Alphabet) -> list[str]:
+    """Column-major block[x][y] as rows of tokens, top row first."""
+    toks = alphabet.tokens
+    return [" ".join([toks[s] for s in r]) for r in reversed(list(zip(*block)))]
 
 
 def emit_presentation(g: GridPresentation) -> str:
@@ -223,13 +220,20 @@ def _pattern_json(p: Pattern) -> dict:
 
 
 class _Laid(str):
-    """JSON text laid out at pad "\\n"; _json writes it as it stands, each newline made its pad."""
+    """JSON text already laid out at the pad _json meets it at; _json writes it as it stands."""
 
 
-def _torus_json(t: TorusTiling, alphabet: Alphabet, memo: dict | None = None) -> _Laid:
-    """The torus dict laid out from one template; memo maps a row of states to its quoted text."""
-    rows = ",\n    ".join(_rows(t.block, alphabet, memo, _quote))  # q >= 1: never empty
-    return _Laid(f'{{\n  "p": {t.p},\n  "q": {t.q},\n  "rows": [\n    {rows}\n  ]\n}}')
+def _torus_json(block, alphabet: Alphabet, pad: str, memo: dict | None = None) -> _Laid:
+    """The torus dict of a column-major block, laid out at pad; memo maps a row of states to its quoted text."""
+    toks, memo, rows = alphabet.tokens, {} if memo is None else memo, []
+    for r in list(zip(*block))[::-1]:  # top row first; q >= 1: never empty
+        text = memo.get(r)
+        if text is None:
+            text = memo[r] = _quote(" ".join([toks[s] for s in r]))
+        rows.append(text)
+    inner, row = pad + "  ", pad + "    "
+    return _Laid(f'{{{inner}"p": {len(block)},{inner}"q": {len(rows)},{inner}"rows": [{row}'
+                 + ("," + row).join(rows) + f'{inner}]{pad}}}')
 
 
 def _presentation_json(g: GridPresentation) -> dict:
@@ -249,9 +253,9 @@ def _json(obj, pad: str = "\n") -> str:
     tuples, str, int, bool and None, with one join per container: indent
     makes the stdlib take its pure-Python encoder.  Strings are escaped by
     the stdlib's own C function; other scalars go through json.dumps.  _Laid
-    text is written as it stands, indented to the pad."""
+    text is written as it stands."""
     if type(obj) is _Laid:
-        return obj.replace("\n", pad)
+        return obj
     if isinstance(obj, str):
         return _quote(obj)
     if type(obj) is int:
@@ -284,9 +288,9 @@ def _cmd_patterns(ts: TileSet, args) -> int:
 
 
 def _cmd_torus(ts: TileSet, args) -> int:
-    tilings = enumerate_torus(ts, args.max_p, args.max_q)
     memo: dict = {}  # tori share their rows: each distinct row is quoted once
-    _emit({"count": len(tilings), "tilings": [_torus_json(t, ts.alphabet, memo) for t in tilings]})
+    tilings = [_torus_json(block, ts.alphabet, "\n    ", memo) for _, _, block in _tori(ts, args.max_p, args.max_q)]
+    _emit({"count": len(tilings), "tilings": tilings})
     return 0
 
 
@@ -295,7 +299,7 @@ def _cmd_classify(ts: TileSet, args) -> int:
     if isinstance(res, Empty):
         _emit({"outcome": "empty", "square": res.n})
     elif isinstance(res, PeriodicFound):
-        _emit({"outcome": "periodic", "tiling": _torus_json(res.tiling, ts.alphabet)})
+        _emit({"outcome": "periodic", "tiling": _torus_json(res.tiling.block, ts.alphabet, "\n  ")})
     else:
         _emit({"outcome": "unknown", "budget": res.budget})
     return 0

@@ -305,6 +305,8 @@ class TorusTiling:
             raise ValueError("torus dimensions must be positive")
         if len(self.block) != self.p or any(len(col) != self.q for col in self.block):
             raise ValueError("block shape mismatch")
+        if not all(isinstance(s, int) and s >= 0 for col in self.block for s in col):
+            raise ValueError("state out of range for alphabet")  # whatever the alphabet
 
     @classmethod
     def _trusted(cls, p: int, q: int, block: tuple[tuple[int, ...], ...]) -> "TorusTiling":

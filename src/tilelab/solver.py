@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, product
 
 import networkx as nx
 
@@ -55,12 +55,18 @@ def _vertical_rotation(g: TransferGraph) -> list[int]:
     return [index[tuple(c[1:] + c[:1] for c in v)] for v in g.vertices]
 
 
-def _orbit_least(walk: list[int], rots: list[list[int]]) -> bool:
-    """No permutation in rots fixes the walk or maps it to one with a horizontal rotation below it."""
-    for s in rots:
-        m = [s[v] for v in walk]
-        if m <= walk or min(m) <= walk[0] and min(m[dx:] + m[:dx] for dx in range(len(m))) < walk:
-            return False
+def _orbit_least(walk: list[int], pre: list[tuple[list[int], int]]) -> bool:
+    """No sigma^dy fixes the walk or maps it to one with a horizontal rotation below it; pre pairs each
+    sigma^dy with its preimage of r = walk[0].  Every walk vertex's orbit lies at or above r, so only a
+    rotation that starts at r, where the walk holds the preimage, can reach the walk or fall below it."""
+    for s, v in pre:
+        if v in walk:
+            m = [s[u] for u in walk]
+            if m <= walk:
+                return False
+            for dx in range(1, len(m)):
+                if walk[dx] == v and m[dx:] + m[:dx] < walk:
+                    return False
     return True
 
 
@@ -79,7 +85,7 @@ def _lyndon_walks(g: TransferGraph, p: int, sigma: list[int]):
         pred[b] |= 1 << a
     rots = list(accumulate([sigma] * (g.height - 1), lambda s, _: [sigma[v] for v in s]))  # sigma^1 .. sigma^(q-1)
     if p == 1:
-        yield from ((r,) for r in range(n) if succ[r] >> r & 1 and _orbit_least([r], rots))
+        yield from ((r,) for r in range(n) if succ[r] >> r & 1 and all(s[r] > r for s in rots))
         return
     walk, below = [0] * p, 0  # below: the vertices whose orbit has a member below walk[0]
     for r in range(n):
@@ -88,6 +94,7 @@ def _lyndon_walks(g: TransferGraph, p: int, sigma: list[int]):
         keep = _reaching(pred, r, alive, p - 1)  # walk[t] reaches r in p - t steps
         if keep >> r + 1 == 0:
             continue  # r is not orbit-least, or no alive vertex above it returns to it
+        pre = [(s, inverse[r]) for s, inverse in zip(rots, rots[::-1])]  # sigma^(q - dy) undoes sigma^dy
         stack = [(1, succ[r] & keep, [s for s in rots if s[r] == r])]  # (period, untried walk[t], tied)
         while stack:
             t = len(stack)
@@ -98,7 +105,7 @@ def _lyndon_walks(g: TransferGraph, p: int, sigma: list[int]):
                 while ends:
                     low = ends & -ends
                     walk[t] = low.bit_length() - 1
-                    if _orbit_least(walk, rots):
+                    if _orbit_least(walk, pre):
                         yield tuple(walk)
                     ends ^= low
                 continue
@@ -111,16 +118,19 @@ def _lyndon_walks(g: TransferGraph, p: int, sigma: list[int]):
                     stack.append((period if v == lo else t + 1, succ[v] & keep, [s for s in tied if s[v] == v]))
 
 
-def _tori(ts: TileSet, sizes):
-    """Kept tilings of each size (p, q) in turn; block column x is vertex walk[x]'s first column."""
-    graphs: dict[int, tuple[TransferGraph, list[int]]] = {}
-    for p, q in sizes:
+def _tori(ts: TileSet, maxp: int, maxq: int, key=None):
+    """Kept blocks (p, q, block), p <= maxp and q <= maxq, sizes sorted by key (default (p, q));
+    block column x is the first column of vertex walk[x], read off one list per graph."""
+    if maxp < 1 or maxq < 1:
+        raise ValueError("maxp and maxq must be positive")
+    graphs: dict[int, tuple[TransferGraph, list[int], list[tuple]]] = {}
+    for p, q in sorted(product(range(1, maxp + 1), range(1, maxq + 1)), key=key):
         if q not in graphs:
             g = build_transfer_graph(ts, q, wrap=True)
-            graphs[q] = g, _vertical_rotation(g)
-        g, sigma = graphs[q]
+            graphs[q] = g, _vertical_rotation(g), [v[0] for v in g.vertices]
+        g, sigma, first = graphs[q]
         for walk in _lyndon_walks(g, p, sigma):
-            yield TorusTiling._trusted(p, q, tuple([g.vertices[v][0] for v in walk]))
+            yield p, q, tuple([first[v] for v in walk])
 
 
 def enumerate_torus(ts: TileSet, maxp: int, maxq: int) -> list[TorusTiling]:
@@ -136,12 +146,11 @@ def enumerate_torus(ts: TileSet, maxp: int, maxq: int) -> list[TorusTiling]:
     per graph as a vertex permutation, and sigma^dy turns a block dy rows.  A
     walk is kept when it is a Lyndon word and no sigma^dy, 0 < dy < q, fixes
     it or has a rotation below it.  The search starts at orbit-least vertices
-    r (sigma^dy(r) >= r for all dy) and cuts a prefix with sigma^dy(prefix) <
-    prefix, as then sigma^dy(walk) < walk for every completion.
+    r (sigma^dy(r) >= r for all dy), cuts a prefix with sigma^dy(prefix) <
+    prefix (then sigma^dy(walk) < walk for every completion) and compares a
+    full walk only at the rotations of sigma^dy(walk) that start at r.
     """
-    if maxp < 1 or maxq < 1:
-        raise ValueError("maxp and maxq must be positive")
-    return list(_tori(ts, ((p, q) for p in range(1, maxp + 1) for q in range(1, maxq + 1))))
+    return [TorusTiling._trusted(*t) for t in _tori(ts, maxp, maxq)]
 
 
 def classify(ts: TileSet, budget: int):
@@ -157,12 +166,7 @@ def classify(ts: TileSet, budget: int):
     for n in range(1, budget + 1):
         if refute(ts, n):
             return Empty(n)
-    sizes = sorted(
-        ((p, q) for p in range(1, budget + 1) for q in range(1, budget + 1)),
-        key=lambda s: (max(s), s[0], s[1]),
-    )
-    found = next(_tori(ts, sizes), None)
-    return Unknown(budget) if found is None else PeriodicFound(found)
+    return next((PeriodicFound(TorusTiling._trusted(*t)) for t in _tori(ts, budget, budget, max)), Unknown(budget))
 
 
 def _shortest_cycle(graph: nx.DiGraph, v: int) -> tuple:

@@ -230,6 +230,17 @@ def test_check_torus_refuses_a_state_that_is_not_an_int(checkerboard):
             check_torus(checkerboard, TorusTiling(2, 2, ((0, 1), (1, s))))
 
 
+def test_torus_tiling_refuses_a_state_that_is_not_a_non_negative_int():
+    """No alphabet has a state 0.5 or -1, and -1 would print as the last
+    token; a state past the end is left to check_torus, which knows the
+    alphabet.  The unchecked constructor checks nothing."""
+    for s in (0.5, 1.0, -1, None, "0"):
+        with pytest.raises(ValueError, match="^state out of range for alphabet$"):
+            TorusTiling(2, 1, ((0,), (s,)))
+    assert TorusTiling(1, 1, ((7,),)).block == ((7,),)
+    assert TorusTiling._trusted(1, 1, ((-1,),)).block == ((-1,),)
+
+
 def test_pattern_refuses_a_state_that_is_not_an_int(checkerboard):
     """A pattern holding 0.5 would occur nowhere and could not print its rows."""
     for s in (0.5, 1.0, 2, -1):

@@ -17,7 +17,8 @@ center-first fill of extensible squares against the per-square search it
 replaced, which is restated here as the referee.  The pruned Lyndon-walk
 search is checked on random graphs against every closed walk.  The vertical rotation
 of a wrap graph is checked to be a graph automorphism, and the torus search
-that prunes with it against the block-tuple filter it replaced.
+that prunes with it against the block-tuple filter it replaced; a logged run
+of the search's leaf test shows that these referees reach each of its branches.
 """
 
 import random
@@ -40,6 +41,7 @@ from tilelab.lang import (
     count_torus,
     extensible_squares,
 )
+from tilelab import solver
 from tilelab.solver import Empty, PeriodicFound, Unknown, _lyndon_walks, _vertical_rotation, classify, enumerate_torus
 
 SQUARE = frozenset(Vec2(x, y) for x in range(2) for y in range(2))
@@ -300,6 +302,46 @@ def test_pruned_torus_search_keeps_what_the_block_filter_keeps(case_or_corpus):
         if all(block < block[i:] + block[:i] for i in range(1, p)) and _least_of_vertical_rotations(block, q)
     ]
     assert enumerate_torus(ts, 4, 4) == want
+
+
+def test_leaf_test_reaches_each_branch(monkeypatch):
+    """The walk search compares a full walk only under the sigma^dy whose
+    preimage of r = walk[0] lies on it, and only at the rotations that start
+    at r.  Logged over the `case` sets at 2 <= p, q <= 4, each leaf test
+    agrees with the full orbit test, every rotation of sigma^dy(walk) lies
+    above the walk for each skipped sigma^dy, and the draws hold a walk
+    rejected because some sigma^dy fixes it or maps it below, one rejected
+    only by a rotation that starts at r at a position i >= 1, and a skipped
+    sigma^dy."""
+    leaf, calls = solver._orbit_least, []
+    monkeypatch.setattr(solver, "_orbit_least", lambda walk, pre: calls.append(tuple(walk)) or leaf(walk, pre))
+    seen = set()
+    for params in CASES:
+        ts = _case_tileset(*params)
+        for q in range(2, 5):
+            g = build_transfer_graph(ts, q, wrap=True)
+            rots = [_vertical_rotation(g)]
+            while len(rots) < q - 1:
+                rots.append([rots[0][v] for v in rots[-1]])
+            inverses = [sorted(range(len(s)), key=s.__getitem__) for s in rots]
+            for p in range(2, 5):
+                calls.clear()
+                kept = set(_lyndon_walks(g, p, rots[0]))
+                for walk in calls:
+                    r, images = walk[0], [tuple(s[v] for v in walk) for s in rots]
+                    fixed_or_below = any(m <= walk for m in images)
+                    lower = [(m, i) for m in images for i in range(1, p) if m[i:] + m[:i] < walk]
+                    assert (walk in kept) == (not fixed_or_below and not lower), (params, p, q, walk)
+                    assert all(m[i] == r for m, i in lower), (params, p, q, walk)
+                    if fixed_or_below:
+                        seen.add("fixed or below")
+                    elif lower:
+                        seen.add("rotation at i >= 1")
+                    for inverse, m in zip(inverses, images):
+                        if inverse[r] not in walk:
+                            assert min(m[i:] + m[:i] for i in range(p)) > walk, (params, p, q, walk)
+                            seen.add("skipped")
+    assert seen == {"fixed or below", "rotation at i >= 1", "skipped"}
 
 
 def test_classify_matches_oracle(case):

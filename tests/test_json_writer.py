@@ -78,8 +78,8 @@ def test_tori_are_laid_out_as_json_dumps():
                                                       [rng.randrange(len(al)) for _ in range(q)])
                                                 for _ in range(p))))
         want = [_torus_dict(t, al.tokens) for t in tori]
-        got = _json({"outcome": "periodic", "tiling": _torus_json(tori[0], al)})
+        got = _json({"outcome": "periodic", "tiling": _torus_json(tori[0].block, al, "\n  ")})
         assert got == stdlib({"outcome": "periodic", "tiling": want[0]})
         memo: dict = {}
-        got = _json({"count": len(tori), "tilings": [_torus_json(t, al, memo) for t in tori]})
+        got = _json({"count": len(tori), "tilings": [_torus_json(t.block, al, "\n    ", memo) for t in tori]})
         assert got == stdlib({"count": len(tori), "tilings": want})

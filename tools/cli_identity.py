@@ -4,14 +4,15 @@
 
 PARENT and CHANGE are checkouts of this repository.  The calls are every
 benchmark query of the three workloads at each seed, generated once with
-bench/gen.py at the benchmark's own sizes, and a fixed list of calls on the
-corpus (`--seeds` with no value runs the corpus calls only).  Each tree runs
-all calls in one subprocess of its own, through its own `tilelab.cli.main`,
-on the same input files, in one temporary working directory: the corpus
-calls name the mixed family written there by a relative path, and the dot
-file of `order --dot` too.  Exit code, stdout, stderr and the text of a
-written dot file are compared call by call; the script prints each
-difference and exits 1 if there is any.
+bench/gen.py at the benchmark's own sizes, each torus and classify query
+again at larger sizes (torus 4 x 3 and 3 x 4, classify budget 4), and a
+fixed list of calls on the corpus (`--seeds` with no value runs the corpus
+calls only).  Each tree runs all calls in one subprocess of its own, through
+its own `tilelab.cli.main`, on the same input files, in one temporary
+working directory: the corpus calls name the mixed family written there by
+a relative path, and the dot file of `order --dot` too.  Exit code, stdout,
+stderr and the text of a written dot file are compared call by call; the
+script prints each difference and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -93,8 +94,15 @@ def corpus_calls() -> list[list[str]]:
     return calls
 
 
+# sizes past the benchmark's 3 x 3, added on each catalogue set that the benchmark
+# queries with the same subcommand: they reach p = 4 walks and vertical rotations of order 4
+LARGER = {"torus": (("--max-p", "4", "--max-q", "3"), ("--max-p", "3", "--max-q", "4")),
+          "classify": (("--budget", "4"),)}
+
+
 def benchmark_calls(seeds, work: Path) -> list[list[str]]:
-    """Every query of every benchmark workload at each seed, written under work."""
+    """Every query of every benchmark workload at each seed, written under work,
+    and each torus and classify query again at the LARGER sizes."""
     if not seeds:
         return []
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
@@ -106,7 +114,8 @@ def benchmark_calls(seeds, work: Path) -> list[list[str]]:
         for name, wl in sorted(WORKLOADS.items()):
             out = work / f"{name}-{seed}"
             out.mkdir()
-            calls += [list(q.argv) for q in getattr(gen, name)(seed, out, *wl.sizes)]
+            queries = [list(q.argv) for q in getattr(gen, name)(seed, out, *wl.sizes)]
+            calls += queries + [[cmd, path, *size] for cmd, path, *_ in queries for size in LARGER.get(cmd, ())]
     return calls
 
 
