@@ -219,12 +219,9 @@ def _pattern_json(p: Pattern) -> dict:
     return {"width": w, "height": h, "rows": p._top_rows(w, h)}
 
 
-class _Laid(str):
-    """JSON text already laid out at the pad _json meets it at; _json writes it as it stands."""
-
-
-def _torus_json(block, alphabet: Alphabet, pad: str, memo: dict | None = None) -> _Laid:
-    """The torus dict of a column-major block, laid out at pad; memo maps a row of states to its quoted text."""
+def _torus_json(block, alphabet: Alphabet, pad: str, memo: dict | None = None) -> str:
+    """The torus dict of a column-major block as json.dumps(indent=2, sort_keys=True) lays it
+    out at pad; memo maps a row of states to its quoted text."""
     toks, memo, rows = alphabet.tokens, {} if memo is None else memo, []
     for r in list(zip(*block))[::-1]:  # top row first; q >= 1: never empty
         text = memo.get(r)
@@ -232,8 +229,8 @@ def _torus_json(block, alphabet: Alphabet, pad: str, memo: dict | None = None) -
             text = memo[r] = _quote(" ".join([toks[s] for s in r]))
         rows.append(text)
     inner, row = pad + "  ", pad + "    "
-    return _Laid(f'{{{inner}"p": {len(block)},{inner}"q": {len(rows)},{inner}"rows": [{row}'
-                 + ("," + row).join(rows) + f'{inner}]{pad}}}')
+    return (f'{{{inner}"p": {len(block)},{inner}"q": {len(rows)},{inner}"rows": [{row}'
+            + ("," + row).join(rows) + f'{inner}]{pad}}}')
 
 
 def _presentation_json(g: GridPresentation) -> dict:
@@ -248,32 +245,8 @@ def _lattice_json(lat) -> dict:
     return {"rank": lat.rank, "generators": [[v.x, v.y] for v in lat.generators]}
 
 
-def _json(obj, pad: str = "\n") -> str:
-    """json.dumps(obj, indent=2, sort_keys=True) for str-keyed dicts, lists,
-    tuples, str, int, bool and None, with one join per container: indent
-    makes the stdlib take its pure-Python encoder.  Strings are escaped by
-    the stdlib's own C function; other scalars go through json.dumps.  _Laid
-    text is written as it stands."""
-    if type(obj) is _Laid:
-        return obj
-    if isinstance(obj, str):
-        return _quote(obj)
-    if type(obj) is int:
-        return repr(obj)
-    if obj is None or type(obj) is bool:
-        return "null" if obj is None else "true" if obj else "false"
-    inner = pad + "  "
-    if isinstance(obj, dict):
-        items = [_quote(k) + ": " + _json(obj[k], inner) for k in sorted(obj)]
-        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
-    if isinstance(obj, (list, tuple)):
-        items = [_json(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
-    return json.dumps(obj)
-
-
 def _emit(obj) -> None:
-    print(_json(obj))
+    print(json.dumps(obj, indent=2, sort_keys=True))
 
 
 def _cmd_patterns(ts: TileSet, args) -> int:
@@ -290,7 +263,8 @@ def _cmd_patterns(ts: TileSet, args) -> int:
 def _cmd_torus(ts: TileSet, args) -> int:
     memo: dict = {}  # tori share their rows: each distinct row is quoted once
     tilings = [_torus_json(block, ts.alphabet, "\n    ", memo) for _, _, block in _tori(ts, args.max_p, args.max_q)]
-    _emit({"count": len(tilings), "tilings": tilings})
+    listed = "\n    " + ",\n    ".join(tilings) + "\n  " if tilings else ""
+    print(f'{{\n  "count": {len(tilings)},\n  "tilings": [{listed}]\n}}')
     return 0
 
 
@@ -299,7 +273,8 @@ def _cmd_classify(ts: TileSet, args) -> int:
     if isinstance(res, Empty):
         _emit({"outcome": "empty", "square": res.n})
     elif isinstance(res, PeriodicFound):
-        _emit({"outcome": "periodic", "tiling": _torus_json(res.tiling.block, ts.alphabet, "\n  ")})
+        tiling = _torus_json(res.tiling.block, ts.alphabet, "\n  ")
+        print(f'{{\n  "outcome": "periodic",\n  "tiling": {tiling}\n}}')
     else:
         _emit({"outcome": "unknown", "budget": res.budget})
     return 0

@@ -70,20 +70,15 @@ def _orbit_least(walk: list[int], pre: list[tuple[list[int], int]]) -> bool:
     return True
 
 
-def _lyndon_walks(g: TransferGraph, p: int, sigma: list[int]):
-    """The closed p-walks on wrap graph g that enumerate_torus keeps, as index
-    tuples in lexicographic order; sigma is g's vertical rotation.  Prenecklace
-    search (Fredricksen-Kessler-Maiorana) over bit masks, as a loop with no
-    depth limit: `period` is that of the longest Lyndon prefix, no index falls
-    below walk[t - period], candidates go lowest first, and `tied` holds the
-    powers s with s(walk[:t]) == walk[:t].  Steps keep to alive vertices (whose
-    orbit has no member below walk[0]) that reach walk[0] within p - 1 steps."""
-    n = len(g.vertices)
-    succ, pred = [0] * n, [0] * n
-    for a, b in g.edges:
-        succ[a] |= 1 << b
-        pred[b] |= 1 << a
-    rots = list(accumulate([sigma] * (g.height - 1), lambda s, _: [sigma[v] for v in s]))  # sigma^1 .. sigma^(q-1)
+def _lyndon_walks(succ: list[int], pred: list[int], rots: list[list[int]], p: int):
+    """The closed p-walks on a wrap graph that enumerate_torus keeps, as index tuples in
+    lexicographic order; succ[v] and pred[v] are v's successor and predecessor bit masks, rots
+    sigma^1 .. sigma^(q-1).  Prenecklace search (Fredricksen-Kessler-Maiorana) over bit masks,
+    as a loop with no depth limit: `period` is that of the longest Lyndon prefix, no index falls
+    below walk[t - period], candidates go lowest first, and `tied` holds the powers s with
+    s(walk[:t]) == walk[:t].  Steps keep to alive vertices (whose orbit has no member below
+    walk[0]) that reach walk[0] within p - 1 steps."""
+    n = len(succ)
     if p == 1:
         yield from ((r,) for r in range(n) if succ[r] >> r & 1 and all(s[r] > r for s in rots))
         return
@@ -120,16 +115,22 @@ def _lyndon_walks(g: TransferGraph, p: int, sigma: list[int]):
 
 def _tori(ts: TileSet, maxp: int, maxq: int, key=None):
     """Kept blocks (p, q, block), p <= maxp and q <= maxq, sizes sorted by key (default (p, q));
-    block column x is the first column of vertex walk[x], read off one list per graph."""
+    block column x is the first column of vertex walk[x], read off tables built once per height."""
     if maxp < 1 or maxq < 1:
         raise ValueError("maxp and maxq must be positive")
-    graphs: dict[int, tuple[TransferGraph, list[int], list[tuple]]] = {}
+    tables: dict[int, tuple] = {}
     for p, q in sorted(product(range(1, maxp + 1), range(1, maxq + 1)), key=key):
-        if q not in graphs:
+        if q not in tables:
             g = build_transfer_graph(ts, q, wrap=True)
-            graphs[q] = g, _vertical_rotation(g), [v[0] for v in g.vertices]
-        g, sigma, first = graphs[q]
-        for walk in _lyndon_walks(g, p, sigma):
+            succ, pred = [0] * len(g.vertices), [0] * len(g.vertices)
+            for a, b in g.edges:
+                succ[a] |= 1 << b
+                pred[b] |= 1 << a
+            sigma = _vertical_rotation(g)
+            rots = list(accumulate([sigma] * (q - 1), lambda s, _: [sigma[v] for v in s]))  # sigma^1 .. sigma^(q-1)
+            tables[q] = succ, pred, rots, [v[0] for v in g.vertices]
+        succ, pred, rots, first = tables[q]
+        for walk in _lyndon_walks(succ, pred, rots, p):
             yield p, q, tuple([first[v] for v in walk])
 
 

@@ -353,6 +353,10 @@ def test_a_call_leaves_no_scan_index_alive(capsys, argv):
 # ------------------------------------------------------ canonical stdout
 
 CHECKER = str(CORPUS / "checkerboard.tiles")
+DIES = str(CORPUS / "outcomes" / "dies_at_3.tiles")
+# a quote, a backslash and a non-ASCII letter, which json.dumps escapes
+ESCAPED = str(CORPUS / "outcomes" / "escaped_tokens.tiles")
+ESCAPED_ROW = '"q" \\ \xe9'
 
 
 def canonical(capsys, argv) -> tuple[int, dict]:
@@ -373,6 +377,13 @@ def canonical(capsys, argv) -> tuple[int, dict]:
     (["validate", STRIPES, str(FAMILY_DIR / "a1.pres")], 0, lambda o: o["valid"] is True),
     (["analyze", STRIPES, str(FAMILY_DIR / "a2.pres")], 0, lambda o: o["type"]["kind"] == "b"),
     (["order", STRIPES, FAMILY, "--window", "6"], 0, lambda o: len(o["classes"]) == 23),
+    pytest.param(["torus", DIES, "--max-p", "3", "--max-q", "3"], 0, lambda o: o == {"count": 0, "tilings": []},
+                 id="torus-none"),
+    pytest.param(["torus", ESCAPED, "--max-p", "3", "--max-q", "3"], 0,
+                 lambda o: o["count"] == len(o["tilings"]) == 2 and o["tilings"][0]["rows"] == [ESCAPED_ROW],
+                 id="torus-escaped"),
+    pytest.param(["classify", ESCAPED, "--budget", "3"], 0, lambda o: o["tiling"]["rows"] == [ESCAPED_ROW],
+                 id="classify-escaped"),
 ], ids=lambda v: v[0] if isinstance(v, list) else "")
 def test_stdout_is_canonical_json(capsys, argv, rc, check):
     got, out = canonical(capsys, argv)

@@ -324,9 +324,10 @@ def test_leaf_test_reaches_each_branch(monkeypatch):
             while len(rots) < q - 1:
                 rots.append([rots[0][v] for v in rots[-1]])
             inverses = [sorted(range(len(s)), key=s.__getitem__) for s in rots]
+            succ, pred = _masks(len(g.vertices), g.edges)
             for p in range(2, 5):
                 calls.clear()
-                kept = set(_lyndon_walks(g, p, rots[0]))
+                kept = set(_lyndon_walks(succ, pred, rots, p))
                 for walk in calls:
                     r, images = walk[0], [tuple(s[v] for v in walk) for s in rots]
                     fixed_or_below = any(m <= walk for m in images)
@@ -583,6 +584,15 @@ def test_walk_counts_match_the_matrix_referee():
     assert [count_torus(sets[-2][0], 3, 2), count_torus(sets[-1][0], 10, 4), _square_count(sets[-1][0], 7)] == [0, 1, 1]
 
 
+def _masks(n: int, edges) -> tuple[list[int], list[int]]:
+    """The successor and predecessor bit masks of each vertex, as _lyndon_walks reads them."""
+    succ, pred = [0] * n, [0] * n
+    for a, b in edges:
+        succ[a] |= 1 << b
+        pred[b] |= 1 << a
+    return succ, pred
+
+
 def _lyndon_walks_brute(n: int, edges, p: int):
     """Closed p-walks whose index sequence is strictly least among its rotations."""
     return [
@@ -607,5 +617,6 @@ def test_lyndon_walks_match_every_closed_walk(seed):
     g = TransferGraph(1, True, 1, tuple(((i,),) for i in range(n)), tuple(sorted(edges)))
     sigma = _vertical_rotation(g)
     assert sigma == list(range(n))  # height 1: no vertical rotation to filter on
+    succ, pred = _masks(n, g.edges)
     for p in range(1, 7):
-        assert list(_lyndon_walks(g, p, sigma)) == _lyndon_walks_brute(n, edges, p), p
+        assert list(_lyndon_walks(succ, pred, [], p)) == _lyndon_walks_brute(n, edges, p), p

@@ -69,9 +69,10 @@ def corpus_calls() -> list[list[str]]:
     family, on the invalid corpus directory and on the mixed family (both
     exit 2); the tile-set subcommands on both corpus tile sets; and the
     outcomes that these calls do not reach, on the small sets of
-    corpus/outcomes: an empty and an unknown classify answer, a forbidden-mode
-    file, a witness found only in the transposed orientation, a malformed
-    tile-set file and a malformed plane (both exit 2), and `order --dot`."""
+    corpus/outcomes: an empty and an unknown classify answer, an empty torus
+    listing, tokens that JSON escapes, a forbidden-mode file, a witness found
+    only in the transposed orientation, a malformed tile-set file and a
+    malformed plane (both exit 2), and `order --dot`."""
     stripes, sets = str(CORPUS / "stripes.tiles"), [str(CORPUS / n) for n in ("stripes.tiles", "checkerboard.tiles")]
     planes = sorted((CORPUS / "family").glob("*.pres")) + sorted((CORPUS / "invalid").glob("*.pres"))
     calls = [[cmd, stripes, str(p)] for p in planes for cmd in ("validate", "analyze")]
@@ -82,9 +83,12 @@ def corpus_calls() -> list[list[str]]:
         calls += [["patterns", ts, "--size", str(n), "--margin", str(m), *c]
                   for n in range(1, 4) for m in range(3) for c in ([], ["--count"])]
         calls += [["torus", ts, "--max-p", "3", "--max-q", "3"], ["classify", ts, "--budget", "3"]]
-    dies, cycle, hard, rows, bad, bad_plane = (str(OUTCOMES / n) for n in (
-        "dies_at_3.tiles", "four_cycle.tiles", "hard_squares.tiles", "constant_rows.tiles", "bad_token.tiles", "bad_row.pres"))
-    calls += [["classify", dies, "--budget", "4"], ["classify", cycle, "--budget", "3"],
+    dies, cycle, hard, rows, escaped, bad, bad_plane = (str(OUTCOMES / n) for n in (
+        "dies_at_3.tiles", "four_cycle.tiles", "hard_squares.tiles", "constant_rows.tiles", "escaped_tokens.tiles",
+        "bad_token.tiles", "bad_row.pres"))
+    calls += [["classify", dies, "--budget", "4"], ["torus", dies, "--max-p", "3", "--max-q", "3"],
+              ["torus", escaped, "--max-p", "3", "--max-q", "3"], ["classify", escaped, "--budget", "3"],
+              ["patterns", escaped, "--size", "2"], ["classify", cycle, "--budget", "3"],
               ["torus", cycle, "--max-p", "4", "--max-q", "2"], ["patterns", cycle, "--size", "5", "--count"],
               ["patterns", hard, "--size", "3"], ["patterns", hard, "--size", "4", "--count"],
               ["classify", hard, "--budget", "3"], ["weak-periodic", rows, "--max-period", "2"],
