@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .cb import ranks
-from .core import _PAIR_CELLS, Alphabet, Pattern, TileSet, Vec2, to_forbidden
+from .core import _PAIR_CELLS, Alphabet, Pattern, TileSet, Vec2, _add_pair, to_forbidden
 from .lang import _square_count, extensible_squares
 from .order import TilingFamily, hasse, level_of, maximal_classes, minimal_classes
 from .presentation import Block, GridPresentation, TypeB, is_valid, period_lattice, type_of
@@ -61,7 +61,7 @@ def parse_tileset(path) -> TileSet:
     rest = iter(_content_lines(path))
     alphabet: Alphabet | None = None
     mode: str | None = None
-    patterns: list[Pattern] = []  # every cell checked here, so built unchecked
+    tables: dict = {}  # sorted shape cells -> allowed keys; every cell checked here, so built unchecked
     for no, toks in rest:
         head, args = toks[0], toks[1:]
         if head == "alphabet":
@@ -82,13 +82,13 @@ def parse_tileset(path) -> TileSet:
                 raise ParseError(path, no, "alphabet must come first")
             if len(args) != 2:
                 raise ParseError(path, no, f"{head} takes exactly two tokens")
-            patterns.append(Pattern._trusted(alphabet, dict(zip(_PAIR_CELLS[head], _states(path, no, alphabet, args)))))
+            _add_pair(tables, head, *_states(path, no, alphabet, args))
         elif head == "pattern":
             if alphabet is None:
                 raise ParseError(path, no, "alphabet must come first")
             if args:
                 raise ParseError(path, no, "pattern starts a cell block; no arguments")
-            cells: dict[Vec2, int] = {}
+            index, cells = alphabet.index, {}
             for cno, ctoks in rest:
                 if ctoks == ["end"]:
                     break
@@ -98,22 +98,26 @@ def parse_tileset(path) -> TileSet:
                     dx, dy = int(ctoks[1]), int(ctoks[2])
                 except ValueError:
                     raise ParseError(path, cno, "cell offsets must be integers") from None
-                spot = Vec2(dx, dy)
-                if spot in cells:
+                if (dx, dy) in cells:
                     raise ParseError(path, cno, f"duplicate cell {dx} {dy}")
-                cells[spot] = _states(path, cno, alphabet, ctoks[3:])[0]
+                try:
+                    cells[dx, dy] = index[ctoks[3]]
+                except KeyError:
+                    raise ParseError(path, cno, f"token {ctoks[3]!r} not in alphabet") from None
             else:
                 raise ParseError(path, no, "pattern block not closed with end")
             if not cells:
                 raise ParseError(path, no, "pattern has no cells")
-            patterns.append(Pattern._trusted(alphabet, cells))
+            order = sorted(cells)  # keyed by its shape moved to the origin
+            x0, y0 = order[0][0], min(y for _, y in order)
+            tables.setdefault(tuple(Vec2(x - x0, y - y0) for x, y in order), set()).add(tuple(map(cells.__getitem__, order)))
         else:
             raise ParseError(path, no, f"unknown directive {head!r}")
     if alphabet is None:
         raise ParseError(path, 1, "missing alphabet line")
-    if not patterns:
+    if not tables:
         raise ParseError(path, 1, "no constraint line")
-    ts = TileSet.from_allowed(alphabet, patterns)
+    ts = TileSet._tables(alphabet, tables)
     if mode != "forbidden":
         return ts
     # forbidden mode: the declared patterns are complemented inside each shape's cube

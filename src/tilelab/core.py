@@ -125,7 +125,7 @@ class Pattern:
         return Pattern._trusted(self.alphabet, {c + v: s for c, s in self.cells.items()})
 
     def normalize(self) -> "Pattern":
-        xs, ys = zip(*self.cells)  # min_corner() without a Vec2: from_allowed normalizes every pattern
+        xs, ys = zip(*self.cells)  # min_corner() without a Vec2: cli._pattern_json normalizes every square it prints
         dx, dy = min(xs), min(ys)
         return self.translate((-dx, -dy)) if dx or dy else self
 
@@ -181,66 +181,100 @@ def appears_in(needle: Pattern, haystack: Pattern) -> bool:
 _PAIR_CELLS = {"hpair": (Vec2(0, 0), Vec2(1, 0)), "vpair": (Vec2(0, 1), Vec2(0, 0))}
 
 
-def _shape_sort_key(shape: frozenset[Vec2]):
-    return (len(shape), sorted(shape))
+def _add_pair(tables: dict, head: str, a: int, b: int) -> None:
+    """Adds the pair a b, placed as _PAIR_CELLS[head] says, to its shape's table in sorted-cell order."""
+    cells, key = _PAIR_CELLS[head], (a, b)
+    if cells[0] > cells[1]:
+        cells, key = cells[::-1], key[::-1]
+    tables.setdefault(cells, set()).add(key)
 
 
-@dataclass(frozen=True)
 class TileSet:
     """Local constraint system: per shape, the set of allowed patterns.
 
     Shapes are stored normalized (minimal corner at origin) and deduplicated;
     a configuration is a tiling when every translate of every shape reads an
-    allowed pattern.
+    allowed pattern.  A tile set is held as its key tables: shape_cells, each
+    shape's cells sorted, and allowed_keys, its allowed patterns as state
+    tuples in that order.  allowed, the patterns, is built from them on first
+    read unless the public constructor was given it.
     """
 
-    alphabet: Alphabet
-    shapes: tuple[frozenset[Vec2], ...]
-    allowed: tuple[frozenset[Pattern], ...]
-
-    def __post_init__(self):
-        if not self.shapes:
+    def __init__(self, alphabet: Alphabet, shapes: tuple[frozenset[Vec2], ...],
+                 allowed: tuple[frozenset[Pattern], ...]):
+        if not shapes:
             raise ValueError("tile set needs at least one shape")
-        if len(self.shapes) != len(self.allowed):
+        if len(shapes) != len(allowed):
             raise ValueError("shapes and allowed must align")
-        if len(set(self.shapes)) != len(self.shapes):
+        if len(set(shapes)) != len(shapes):
             raise ValueError("duplicate shape")
-        for shape, pats in zip(self.shapes, self.allowed):
+        for shape, pats in zip(shapes, allowed):
             if not shape:
                 raise ValueError("empty shape")
             if min(c.x for c in shape) != 0 or min(c.y for c in shape) != 0:
                 raise ValueError("shape not normalized")
             for p in pats:
-                if p.alphabet is not self.alphabet and p.alphabet != self.alphabet:
+                if p.alphabet is not alphabet and p.alphabet != alphabet:
                     raise ValueError("pattern alphabet mismatch")
                 if p.cells.keys() != shape:
                     raise ValueError("pattern domain differs from its shape")
+        cells = tuple(tuple(sorted(s)) for s in shapes)
+        keys = tuple(frozenset(tuple(map(p.cells.__getitem__, c)) for p in pats) for c, pats in zip(cells, allowed))
+        self.__dict__.update(alphabet=alphabet, shapes=shapes, allowed=allowed, shape_cells=cells, allowed_keys=keys)
+
+    @classmethod
+    def _tables(cls, alphabet: Alphabet, tables: dict) -> "TileSet":
+        """Unchecked constructor from {sorted shape cells: allowed state tuples}: each shape's cells
+        are Vec2s at the origin and its tuples in-range states. Shapes sort by size, then cells."""
+        if not tables:
+            raise ValueError("tile set needs at least one shape")
+        order = sorted(tables, key=lambda cells: (len(cells), cells))
+        ts = object.__new__(cls)
+        ts.__dict__.update(alphabet=alphabet, shapes=tuple(map(frozenset, order)), shape_cells=tuple(order),
+                           allowed_keys=tuple(frozenset(tables[c]) for c in order))
+        return ts
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TileSet is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alphabet, self.shapes, self.allowed_keys) == (other.alphabet, other.shapes, other.allowed_keys)
+
+    def __hash__(self):
+        return hash((self.alphabet, self.shapes, self.allowed_keys))
+
+    def __repr__(self):
+        return f"TileSet(alphabet={self.alphabet!r}, shapes={self.shapes!r}, allowed={self.allowed!r})"
 
     @classmethod
     def from_allowed(cls, alphabet: Alphabet, patterns: Iterable[Pattern]) -> "TileSet":
         """Group patterns by normalized shape; placement offsets are dropped."""
-        by_shape: dict[frozenset[Vec2], set[Pattern]] = {}
-        for p in patterns:  # __post_init__ checks every alphabet
+        tables: dict[tuple[Vec2, ...], set[tuple[int, ...]]] = {}
+        for p in patterns:
+            if p.alphabet is not alphabet and p.alphabet != alphabet:
+                raise ValueError("pattern alphabet mismatch")
             q = p.normalize()
-            by_shape.setdefault(frozenset(q.cells), set()).add(q)
-        shapes = sorted(by_shape, key=_shape_sort_key)
-        return cls(alphabet, tuple(shapes), tuple(frozenset(by_shape[s]) for s in shapes))
+            cells = tuple(sorted(q.cells))
+            tables.setdefault(cells, set()).add(tuple(map(q.cells.__getitem__, cells)))
+        return cls._tables(alphabet, tables)
 
     @classmethod
-    def dominoes(
-        cls,
-        alphabet: Alphabet,
-        hpairs: Iterable[tuple[str, str]],
-        vpairs: Iterable[tuple[str, str]],
-    ) -> "TileSet":
+    def dominoes(cls, alphabet: Alphabet, hpairs: Iterable[tuple[str, str]],
+                 vpairs: Iterable[tuple[str, str]]) -> "TileSet":
         """Nearest-neighbour system from allowed (left, right) and (top, bottom) token pairs."""
-        idx = alphabet.index
-        pats = [
-            Pattern(alphabet, {c: idx[t] for c, t in zip(_PAIR_CELLS[head], pair, strict=True)})
-            for head, pairs in (("hpair", hpairs), ("vpair", vpairs))
-            for pair in pairs
-        ]
-        return cls.from_allowed(alphabet, pats)
+        idx, tables = alphabet.index, {}
+        for head, pairs in (("hpair", hpairs), ("vpair", vpairs)):
+            for pair in pairs:  # KeyError for an unknown token, ValueError for a pair not of two
+                _add_pair(tables, head, *[idx[t] for _, t in zip((0, 1), pair, strict=True)])
+        return cls._tables(alphabet, tables)
+
+    @cached_property
+    def allowed(self) -> tuple[frozenset[Pattern], ...]:
+        al = self.alphabet
+        return tuple(frozenset(Pattern._trusted(al, dict(zip(cells, key))) for key in keys)
+                     for cells, keys in zip(self.shape_cells, self.allowed_keys))
 
     @cached_property
     def hextent(self) -> int:
@@ -251,27 +285,14 @@ class TileSet:
     def vextent(self) -> int:
         return max((max(c.y for c in s) + 1 for s in self.shapes), default=1)
 
-    @cached_property
-    def shape_cells(self) -> tuple[tuple[Vec2, ...], ...]:
-        return tuple(tuple(sorted(s)) for s in self.shapes)
-
-    @cached_property
-    def allowed_keys(self) -> tuple[frozenset[tuple[int, ...]], ...]:
-        """Per shape, allowed patterns as state tuples in sorted-cell order."""
-        return tuple(
-            frozenset(tuple(map(p.cells.__getitem__, cells)) for p in pats)
-            for cells, pats in zip(self.shape_cells, self.allowed)
-        )
-
     def transpose(self) -> "TileSet":
-        flip = lambda s: frozenset(Vec2(c.y, c.x) for c in s)
-        shapes = tuple(flip(s) for s in self.shapes)
-        allowed = tuple(
-            frozenset(Pattern._trusted(self.alphabet, {Vec2(c.y, c.x): v for c, v in p.cells.items()}) for p in pats)
-            for pats in self.allowed
-        )
-        order = sorted(range(len(shapes)), key=lambda i: _shape_sort_key(shapes[i]))
-        return TileSet(self.alphabet, tuple(shapes[i] for i in order), tuple(allowed[i] for i in order))
+        """x and y swapped: each key is permuted into its flipped shape's sorted-cell order."""
+        tables = {}
+        for cells, keys in zip(self.shape_cells, self.allowed_keys):
+            order = sorted(range(len(cells)), key=lambda i: cells[i][::-1])
+            tables[tuple(Vec2(cells[i].y, cells[i].x) for i in order)] = frozenset(
+                tuple(map(key.__getitem__, order)) for key in keys)
+        return TileSet._tables(self.alphabet, tables)
 
 
 _COMPLEMENT_LIMIT = 1 << 16  # largest state cube a complement may enumerate

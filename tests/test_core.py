@@ -1,5 +1,7 @@
 import copy
 import pickle
+import random
+from itertools import product
 
 import pytest
 
@@ -173,6 +175,109 @@ def test_dominoes_and_transpose(rg):
     # transposing swaps the roles: one vertical pair, two horizontal ones
     assert [len(a) for a in flipped.allowed] == [1, 2]
     assert flipped.transpose() == ts
+
+
+def test_every_builder_refuses_no_shape_and_a_foreign_pattern(rg):
+    for build in (lambda: TileSet(rg, (), ()), lambda: TileSet.from_allowed(rg, []),
+                  lambda: TileSet.dominoes(rg, [], []), lambda: TileSet._tables(rg, {})):
+        with pytest.raises(ValueError, match="^tile set needs at least one shape$"):
+            build()
+    ours = Pattern(rg, {Vec2(0, 0): 0, Vec2(1, 0): 1})
+    theirs = Pattern(Alphabet(("x", "y")), {Vec2(0, 0): 0, Vec2(0, 1): 1})
+    for pats in ([theirs], [ours, theirs], [theirs, ours]):
+        with pytest.raises(ValueError, match="^pattern alphabet mismatch$"):
+            TileSet.from_allowed(rg, pats)
+    # an equal alphabet that is another object is the same alphabet
+    assert TileSet.from_allowed(rg, [Pattern(Alphabet(("R", "G")), ours.cells)]) == TileSet.from_allowed(rg, [ours])
+    with pytest.raises(KeyError):
+        TileSet.dominoes(rg, [("R", "B")], [])
+    for pair in (("R",), ("R", "G", "R")):
+        with pytest.raises(ValueError):
+            TileSet.dominoes(rg, [], [pair])
+
+
+def _pattern_transpose(ts: TileSet) -> TileSet:
+    """The referee: transpose() as it was before tile sets were built from key
+    tables.  Each shape and each pattern is flipped, the patterns through the
+    checked constructor, and the shapes are sorted by size and then by sorted
+    cells."""
+    flip = {frozenset(Vec2(c.y, c.x) for c in shape):
+            frozenset(Pattern(ts.alphabet, {Vec2(c.y, c.x): s for c, s in p.cells.items()}) for p in pats)
+            for shape, pats in zip(ts.shapes, ts.allowed)}
+    shapes = sorted(flip, key=lambda shape: (len(shape), sorted(shape)))
+    return TileSet(ts.alphabet, tuple(shapes), tuple(flip[shape] for shape in shapes))
+
+
+def _seeded_tileset(rng: random.Random, shapes) -> TileSet:
+    """Each state tuple of each shape allowed with probability 0.5, over 2 or 3 states."""
+    al = Alphabet(("a", "b", "c")[:rng.choice((2, 3))])
+    allowed = [frozenset(Pattern(al, dict(zip(sorted(shape), key)))
+                         for key in product(range(len(al)), repeat=len(shape)) if rng.random() < 0.5)
+               for shape in shapes]
+    return TileSet(al, tuple(shapes), tuple(allowed))
+
+
+def _transpose_cases():
+    square = frozenset(Vec2(x, y) for x in range(2) for y in range(2))
+    row3 = frozenset(Vec2(x, 0) for x in range(3))
+    h, v = frozenset((Vec2(0, 0), Vec2(1, 0))), frozenset((Vec2(0, 0), Vec2(0, 1)))
+    rng = random.Random("transpose")
+    box = [Vec2(x, y) for x in range(3) for y in range(3)]
+    for _ in range(40):  # shapes of 1-4 cells in a 3 x 3 box, moved to the origin
+        shapes = set()
+        for _ in range(rng.randint(1, 3)):
+            cells = rng.sample(box, rng.randint(1, 4))
+            x0, y0 = min(c.x for c in cells), min(c.y for c in cells)
+            shapes.add(frozenset(Vec2(c.x - x0, c.y - y0) for c in cells))
+        yield _seeded_tileset(rng, sorted(shapes, key=sorted))
+    for shapes in ([square], [row3], [row3, v], [h, v, square], [v, h]):
+        yield _seeded_tileset(rng, shapes)
+    al = Alphabet(("a", "b"))
+    yield TileSet(al, (row3, h), (frozenset(), frozenset({Pattern(al, {Vec2(0, 0): 0, Vec2(1, 0): 1})})))
+    yield from (parse_tileset(f) for f in sorted(CORPUS.rglob("*.tiles")) if f.name != "bad_token.tiles")
+
+
+def test_transpose_permutes_keys_as_flipping_patterns_did():
+    cases = list(_transpose_cases())
+    assert any(not keys for ts in cases for keys in ts.allowed_keys)  # a shape that allows nothing
+    assert any(list(ts.shapes) != sorted(ts.shapes, key=lambda s: (len(s), sorted(s))) for ts in cases)
+    for ts in cases:
+        got, want = ts.transpose(), _pattern_transpose(ts)
+        assert "allowed" not in vars(got)
+        assert got == want and hash(got) == hash(want)
+        assert got.shapes == want.shapes
+        assert got.shape_cells == want.shape_cells
+        assert got.allowed_keys == want.allowed_keys
+        assert (got.hextent, got.vextent) == (want.hextent, want.vextent) == (ts.vextent, ts.hextent)
+        assert got.allowed == want.allowed
+        assert got.transpose() == _pattern_transpose(want)
+
+
+@pytest.mark.parametrize("copier", [
+    lambda x: pickle.loads(pickle.dumps(x)),
+    copy.copy,
+    copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_tileset_copies_and_hashes_alike_before_and_after_allowed_is_read(tmp_path, copier):
+    block = tmp_path / "row.tiles"
+    block.write_text("alphabet a b\nvpair a b\npattern\ncell 3 1 a\ncell 4 1 b\ncell 5 1 a\nend\n")
+    for path in (CORPUS / "stripes.tiles", block):
+        ts = parse_tileset(path)
+        h = hash(ts)
+        early = copier(ts)
+        assert "allowed" not in vars(ts) and "allowed" not in vars(early)
+        assert early == ts and hash(early) == h
+        assert "Pattern(" in repr(ts)  # repr reads the patterns, made on first read
+        assert "allowed" in vars(ts) and hash(ts) == h
+        late = copier(ts)
+        assert late == ts and hash(late) == h
+        assert early.allowed == late.allowed == ts.allowed
+        for x in (early, late):
+            assert (x.shapes, x.shape_cells, x.allowed_keys) == (ts.shapes, ts.shape_cells, ts.allowed_keys)
+        checked = TileSet(ts.alphabet, ts.shapes, ts.allowed)
+        assert checked == ts and hash(checked) == h and checked.allowed is ts.allowed
+        with pytest.raises(AttributeError):
+            late.shapes = ()
 
 
 def test_to_forbidden_complements(rg):

@@ -2,9 +2,11 @@
 parsers against the library.
 
 parse(emit(x)) == x for tile sets mixing pair rules with `pattern` blocks,
-and for presentations with 0-2 cuts per axis.  A parsed tile-set file equals
-the tile set built from its constraints through the checked `Pattern`
-constructor, and a parsed block reads its rows bottom up.  derandomize keeps
+and for presentations with 0-2 cuts per axis.  A parsed tile-set file, and
+`TileSet.from_allowed` on its constraints, equal the tile set built from
+them through the checked `Pattern` and `TileSet` constructors, grouped as
+`from_allowed` grouped them before tile sets were built from key tables;
+a parsed block reads its rows bottom up.  derandomize keeps
 every run on the same seed.
 """
 
@@ -133,21 +135,41 @@ def tileset_files(draw):
     return al, mode, maps, "\n".join(lines) + "\n"
 
 
+def checked_tileset(al, maps) -> TileSet:
+    """The referee: the cell maps grouped as TileSet.from_allowed grouped them
+    before tile sets were built from key tables.  Each map becomes a checked
+    Pattern moved to the origin, the patterns are grouped by shape, the shapes
+    sorted by size and then by sorted cells, and the public constructor checks
+    the result."""
+    by_shape = {}
+    for cells in maps:
+        x0, y0 = Pattern(al, cells).min_corner()
+        p = Pattern(al, {Vec2(x - x0, y - y0): s for (x, y), s in cells.items()})
+        by_shape.setdefault(frozenset(p.cells), set()).add(p)
+    shapes = sorted(by_shape, key=lambda shape: (len(shape), sorted(shape)))
+    return TileSet(al, tuple(shapes), tuple(frozenset(by_shape[shape]) for shape in shapes))
+
+
 @common
 @given(case=tileset_files())
 def test_parsed_tileset_is_the_checked_library_one(scratch, case):
     al, mode, maps, text = case
-    expected = TileSet.from_allowed(al, [Pattern(al, cells) for cells in maps])
+    expected = checked_tileset(al, maps)
     if mode == "forbidden":
         forbidden = to_forbidden(expected)
         expected = TileSet(al, expected.shapes, tuple(forbidden[s] for s in expected.shapes))
     f = scratch / "diff.tiles"
     f.write_text(text)
     ts = parse_tileset(f)
-    assert ts == expected
+    # an allowed-mode set is built from its tables; only the forbidden complement is given its patterns
+    assert ("allowed" in vars(ts)) == (mode == "forbidden")
+    assert ts == expected and hash(ts) == hash(expected)
+    assert ts.shapes == expected.shapes
     assert ts.shape_cells == expected.shape_cells
     assert ts.allowed_keys == expected.allowed_keys
     assert (ts.hextent, ts.vextent) == (expected.hextent, expected.vextent)
+    assert ts.allowed == expected.allowed
+    assert TileSet.from_allowed(al, [Pattern(al, cells) for cells in maps]) == checked_tileset(al, maps)
 
 
 @st.composite

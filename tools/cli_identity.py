@@ -9,8 +9,9 @@ again at larger sizes (torus 4 x 3 and 3 x 4, classify budget 4), and a
 fixed list of calls on the corpus (`--seeds` with no value runs the corpus
 calls only).  Each tree runs all calls in one subprocess of its own, through
 its own `tilelab.cli.main`, on the same input files, in one temporary
-working directory: the corpus calls name the mixed family written there by
-a relative path, and the dot file of `order --dot` too.  Exit code, stdout,
+working directory: the corpus calls name the mixed family and the malformed
+tile-set files written there by a relative path, and the dot file of
+`order --dot` too.  Exit code, stdout,
 stderr and the text of a written dot file are compared call by call; the
 script prints each difference and exits 1 if there is any.
 """
@@ -64,6 +65,41 @@ def write_mixed_family(work: Path) -> None:
         "presentation\nxcuts 0\nregion 0 0 1 1\nG\nregion 1 0 1 1\nW\n")
 
 
+# one malformed tile-set file per refusal of cli.parse_tileset, written by
+# write_bad_tilesets into BAD in the runners' working directory
+BAD = "bad_tilesets"
+BAD_TILESETS = {
+    "not_utf8": b"alphabet a b\nhpair a \xff\n",
+    "duplicate_alphabet": "alphabet a b\nalphabet a b\nhpair a b\n",
+    "bad_alphabet": "alphabet a a\nhpair a a\n",
+    "duplicate_mode": "alphabet a b\nmode allowed\nmode allowed\nhpair a b\n",
+    "bad_mode": "alphabet a b\nmode maybe\nhpair a b\n",
+    "pair_before_alphabet": "vpair a b\nalphabet a b\n",
+    "pair_of_three": "alphabet a b\nvpair a b a\n",
+    "pair_token": "alphabet a b\nhpair a b\nvpair b c\n",
+    "pattern_before_alphabet": "pattern\ncell 0 0 a\nend\nalphabet a b\n",
+    "pattern_arguments": "alphabet a b\npattern 2\ncell 0 0 a\nend\n",
+    "bad_cell_line": "alphabet a b\npattern\ncell 0 0 a\ncell 1 0\nend\n",
+    "bad_cell_offset": "alphabet a b\npattern\ncell 0 y a\nend\n",
+    "duplicate_cell": "alphabet a b\npattern\ncell 1 -1 a\ncell 1 -1 b\nend\n",
+    "cell_token": "alphabet a b\npattern\ncell 0 0 a\ncell -1 0 c\nend\n",
+    "unclosed_pattern": "alphabet a b\npattern\ncell 0 0 a\n",
+    "empty_pattern": "alphabet a b\nhpair a b\npattern\nend\n",
+    "unknown_directive": "alphabet a b\nwpair a b\n",
+    "missing_alphabet": "# no alphabet line\nmode allowed\n",
+    "no_constraint": "alphabet a b\nmode forbidden\n",
+    "complement_too_large": "alphabet a b\nmode forbidden\npattern\n"
+                            + "".join(f"cell {x} 0 a\n" for x in range(17)) + "end\n",
+}
+
+
+def write_bad_tilesets(work: Path) -> None:
+    (work / BAD).mkdir()
+    for name, text in BAD_TILESETS.items():
+        path = work / BAD / f"{name}.tiles"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+
+
 def corpus_calls() -> list[list[str]]:
     """validate and analyze on every corpus plane; order and cb on the corpus
     family, on the invalid corpus directory and on the mixed family (both
@@ -72,7 +108,8 @@ def corpus_calls() -> list[list[str]]:
     corpus/outcomes: an empty and an unknown classify answer, an empty torus
     listing, tokens that JSON escapes, a forbidden-mode file, a witness found
     only in the transposed orientation, a malformed tile-set file and a
-    malformed plane (both exit 2), and `order --dot`."""
+    malformed plane (both exit 2), and `order --dot`; and `patterns` on each
+    file of BAD_TILESETS (exit 2)."""
     stripes, sets = str(CORPUS / "stripes.tiles"), [str(CORPUS / n) for n in ("stripes.tiles", "checkerboard.tiles")]
     planes = sorted((CORPUS / "family").glob("*.pres")) + sorted((CORPUS / "invalid").glob("*.pres"))
     calls = [[cmd, stripes, str(p)] for p in planes for cmd in ("validate", "analyze")]
@@ -95,6 +132,7 @@ def corpus_calls() -> list[list[str]]:
               ["validate", bad, str(CORPUS / "family" / "a1.pres")], ["torus", bad, "--max-p", "2", "--max-q", "2"],
               ["validate", stripes, bad_plane], ["analyze", stripes, bad_plane],
               ["order", stripes, str(CORPUS / "family"), "--window", "6", "--dot", "order.dot"]]
+    calls += [["patterns", f"{BAD}/{name}.tiles", "--size", "1"] for name in BAD_TILESETS]
     return calls
 
 
@@ -141,6 +179,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         write_mixed_family(work)
+        write_bad_tilesets(work)
         calls = corpus_calls() + benchmark_calls(args.seeds, work)
         answers = [run_tree(tree, calls, work) for tree in (args.parent, args.change)]
     differ = 0
