@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .cb import ranks
-from .core import _PAIR_CELLS, Alphabet, Pattern, TileSet, Vec2, _add_pair, to_forbidden
+from .core import _PAIR_CELLS, Alphabet, Pattern, TileSet, _add_pair, _add_pattern, _complement
 from .lang import _square_count, extensible_squares
 from .order import TilingFamily, hasse, level_of, maximal_classes, minimal_classes
 from .presentation import Block, GridPresentation, TypeB, is_valid, period_lattice, type_of
@@ -108,9 +108,7 @@ def parse_tileset(path) -> TileSet:
                 raise ParseError(path, no, "pattern block not closed with end")
             if not cells:
                 raise ParseError(path, no, "pattern has no cells")
-            order = sorted(cells)  # keyed by its shape moved to the origin
-            x0, y0 = order[0][0], min(y for _, y in order)
-            tables.setdefault(tuple(Vec2(x - x0, y - y0) for x, y in order), set()).add(tuple(map(cells.__getitem__, order)))
+            _add_pattern(tables, cells)
         else:
             raise ParseError(path, no, f"unknown directive {head!r}")
     if alphabet is None:
@@ -120,12 +118,10 @@ def parse_tileset(path) -> TileSet:
     ts = TileSet._tables(alphabet, tables)
     if mode != "forbidden":
         return ts
-    # forbidden mode: the declared patterns are complemented inside each shape's cube
-    try:
-        forbidden = to_forbidden(ts)
+    try:  # forbidden mode: the declared patterns are complemented inside each shape's cube
+        return _complement(ts)
     except ValueError:
         raise ParseError(path, 1, "forbidden-mode complement too large") from None
-    return TileSet(alphabet, ts.shapes, tuple(forbidden[shape] for shape in ts.shapes))
 
 
 def parse_presentation(path, alphabet: Alphabet) -> GridPresentation:
@@ -180,21 +176,18 @@ def parse_presentation(path, alphabet: Alphabet) -> GridPresentation:
 
 
 def emit_tileset(ts: TileSet) -> str:
-    out = ["alphabet " + " ".join(ts.alphabet.tokens), "mode allowed"]
     toks = ts.alphabet.tokens
-    for shape, pats in zip(ts.shapes, ts.allowed):
-        if not pats:
+    out = ["alphabet " + " ".join(toks), "mode allowed"]
+    for cells, keys in zip(ts.shape_cells, ts.allowed_keys):
+        if not keys:
             # an allowed-mode file cannot state a shape that allows nothing
-            raise ValueError(f"shape {sorted(tuple(c) for c in shape)} allows no pattern")
-        ordered = sorted(pats, key=lambda p: p.key())
-        head = next((h for h, cells in _PAIR_CELLS.items() if shape == frozenset(cells)), None)
-        if head:
-            out.extend(" ".join([head, *(toks[p.cells[c]] for c in _PAIR_CELLS[head])]) for p in ordered)
-        else:
-            for p in ordered:
-                out.append("pattern")
-                out.extend(f"cell {c.x} {c.y} {toks[p.cells[c]]}" for c in p.sorted_cells())
-                out.append("end")
+            raise ValueError(f"shape {list(map(tuple, cells))} allows no pattern")
+        head = next((h for h, pair in _PAIR_CELLS.items() if sorted(pair) == list(cells)), None)
+        for key in sorted(keys):  # a fixed order: bench/gen.py keys cached answers by this text
+            if head:
+                out.append(" ".join([head, *(toks[key[cells.index(c)]] for c in _PAIR_CELLS[head])]))
+            else:
+                out += ["pattern", *(f"cell {x} {y} {toks[s]}" for (x, y), s in zip(cells, key)), "end"]
     return "\n".join(out) + "\n"
 
 

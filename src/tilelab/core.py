@@ -189,6 +189,13 @@ def _add_pair(tables: dict, head: str, a: int, b: int) -> None:
     tables.setdefault(cells, set()).add(key)
 
 
+def _add_pattern(tables: dict, cells: dict) -> None:
+    """Adds the pattern {(x, y): state}, moved to the origin, to its shape's table in sorted-cell order."""
+    order = sorted(cells)
+    x0, y0 = order[0][0], min(y for _, y in order)
+    tables.setdefault(tuple(Vec2(x - x0, y - y0) for x, y in order), set()).add(tuple(map(cells.__getitem__, order)))
+
+
 class TileSet:
     """Local constraint system: per shape, the set of allowed patterns.
 
@@ -255,9 +262,7 @@ class TileSet:
         for p in patterns:
             if p.alphabet is not alphabet and p.alphabet != alphabet:
                 raise ValueError("pattern alphabet mismatch")
-            q = p.normalize()
-            cells = tuple(sorted(q.cells))
-            tables.setdefault(cells, set()).add(tuple(map(q.cells.__getitem__, cells)))
+            _add_pattern(tables, p.cells)
         return cls._tables(alphabet, tables)
 
     @classmethod
@@ -298,19 +303,22 @@ class TileSet:
 _COMPLEMENT_LIMIT = 1 << 16  # largest state cube a complement may enumerate
 
 
-def to_forbidden(ts: TileSet) -> dict[frozenset[Vec2], frozenset[Pattern]]:
-    """Complement each allowed set inside Q^shape. Refuses, before enumerating
+def _complement(ts: TileSet) -> TileSet:
+    """Each allowed set complemented inside Q^shape. Refuses, before enumerating
     anything, a shape whose state cube exceeds _COMPLEMENT_LIMIT."""
-    al, k = ts.alphabet, len(ts.alphabet)
+    k = len(ts.alphabet)
     for cells in ts.shape_cells:
         total = k ** len(cells)
         if total > _COMPLEMENT_LIMIT:
             raise ValueError(f"complement of size {total} over shape of {len(cells)} cells refused")
-    return {
-        shape: frozenset(Pattern._trusted(al, dict(zip(cells, c)))
-                         for c in product(range(k), repeat=len(cells)) if c not in keys)
-        for shape, cells, keys in zip(ts.shapes, ts.shape_cells, ts.allowed_keys)
-    }
+    return TileSet._tables(ts.alphabet, {cells: {c for c in product(range(k), repeat=len(cells)) if c not in keys}
+                                         for cells, keys in zip(ts.shape_cells, ts.allowed_keys)})
+
+
+def to_forbidden(ts: TileSet) -> dict[frozenset[Vec2], frozenset[Pattern]]:
+    """The patterns of _complement(ts), keyed by shape in ts.shapes order."""
+    c = _complement(ts)
+    return {shape: c.allowed[c.shapes.index(shape)] for shape in ts.shapes}
 
 
 @dataclass(frozen=True)
@@ -348,16 +356,10 @@ class TorusTiling:
         return min(self.translate_key(dx, dy) for dx in range(self.p) for dy in range(self.q))
 
     def h_period(self) -> int:
-        for d in range(1, self.p + 1):
-            if self.p % d == 0 and self.translate_key(d, 0) == self.block:
-                return d
-        return self.p
+        return next((d for d in range(1, self.p) if self.p % d == 0 and self.translate_key(d, 0) == self.block), self.p)
 
     def v_period(self) -> int:
-        for d in range(1, self.q + 1):
-            if self.q % d == 0 and self.translate_key(0, d) == self.block:
-                return d
-        return self.q
+        return next((d for d in range(1, self.q) if self.q % d == 0 and self.translate_key(0, d) == self.block), self.q)
 
 
 def check_torus(ts: TileSet, t: TorusTiling) -> bool:

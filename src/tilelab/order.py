@@ -82,7 +82,9 @@ class TilingFamily:
     def _classes(self) -> tuple[tuple[str, ...], ...]:
         """Members grouped in one pass by equal N-window sets (keys compare
         exactly; the hash only picks a bucket), in first-appearance order.
-        Kept apart from _order: isolation rounds read classes only."""
+        Kept apart from _order, which is built from them on its first read:
+        equivalence_classes needs no order, while each isolation round reads
+        both (cb._pinning_key)."""
         classes: dict[frozenset, list[str]] = {}
         for name in self.names():
             classes.setdefault(self._windows(name), []).append(name)

@@ -107,9 +107,7 @@ class GridPresentation:
         nontrivial iff (ux, 0) is a period, and likewise for y; candidate
         generators then range over divisors of the block lcms.  One search serves
         every rank: c0 the least vertical period (0 for none), then, with a horizontal
-        period, the least (a, b) with a | ux and 0 <= b < max(c0, 1).  It tests what the
-        old four-case search did, in its order, so each plane pays the same tests.
-        """
+        period, the least (a, b) with a | ux and 0 <= b < max(c0, 1)."""
         ux, vy = block_lcms(self)
         has_h, has_v = _is_period(self, Vec2(ux, 0)), _is_period(self, Vec2(0, vy))
         c0 = next(d for d in _divisors(vy) if _is_period(self, Vec2(0, d))) if has_v else 0

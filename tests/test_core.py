@@ -8,11 +8,13 @@ import pytest
 from conftest import CORPUS
 from tilelab.cli import parse_tileset
 from tilelab.core import (
+    _PAIR_CELLS,
     Alphabet,
     Pattern,
     TileSet,
     TorusTiling,
     Vec2,
+    _complement,
     appears_in,
     check_torus,
     to_forbidden,
@@ -59,6 +61,14 @@ def test_pattern_basics(rg):
     assert p.translate((-2, -3)) == q
     assert q.key() == (0, 1)
     assert q.is_rectangular()
+
+
+def test_pattern_domain_is_its_cells_as_placed(rg):
+    p = Pattern(rg, {(2, 3): 0, Vec2(3, 5): 1})
+    assert p.domain() == frozenset({Vec2(2, 3), Vec2(3, 5)}) == p.cells.keys()
+    assert all(type(c) is Vec2 for c in p.domain())
+    assert p.normalize().domain() == frozenset({Vec2(0, 0), Vec2(1, 2)})
+    assert p.translate((1, -1)).domain() == {c + (1, -1) for c in p.domain()}
 
 
 def test_normalize_returns_a_placed_pattern_itself_and_moves_any_other(rg):
@@ -293,6 +303,23 @@ def test_to_forbidden_complements(rg):
         to_forbidden(big)
 
 
+def test_to_forbidden_is_the_pattern_view_of_the_complement(rg):
+    """to_forbidden keys its patterns in ts.shapes order, even when the public
+    constructor was given the shapes out of sorted order; _complement builds
+    the same sets as a tile set, a shape that allowed everything left empty."""
+    h, v = frozenset(_PAIR_CELLS["hpair"]), frozenset(_PAIR_CELLS["vpair"])
+    every = {cells: {Pattern(rg, dict(zip(cells, key))) for key in product(range(2), repeat=2)} for cells in (h, v)}
+    allowed = (frozenset({Pattern(rg, {Vec2(0, 0): 0, Vec2(1, 0): 1})}), frozenset(every[v]))
+    ts = TileSet(rg, (h, v), allowed)  # sorted, the vertical domino comes first
+    forb = to_forbidden(ts)
+    assert list(forb) == [h, v]
+    assert forb == {h: frozenset(every[h] - allowed[0]), v: frozenset()}
+    c = _complement(ts)
+    assert "allowed" not in vars(c)  # built from its key tables
+    assert c.shapes == (v, h) and dict(zip(c.shapes, c.allowed)) == forb
+    assert _complement(c) == TileSet.from_allowed(rg, [p for ps in allowed for p in ps])
+
+
 def test_torus_tiling_keys_and_periods():
     t = TorusTiling(2, 2, ((0, 1), (1, 0)))
     assert t.state_at(0, 0) == 0
@@ -302,6 +329,10 @@ def test_torus_tiling_keys_and_periods():
     assert t.h_period() == 2 and t.v_period() == 2
     flat = TorusTiling(2, 1, ((0,), (0,)))
     assert flat.h_period() == 1 and flat.v_period() == 1
+    # p = q = 4 with least periods 2 and 4: a proper divisor is found, else the side itself
+    t4 = TorusTiling(4, 4, ((0, 0, 1, 1), (1, 0, 0, 1), (0, 0, 1, 1), (1, 0, 0, 1)))
+    assert t4.h_period() == 2 and t4.v_period() == 4
+    assert TorusTiling(1, 4, ((0, 1, 0, 1),)).v_period() == 2
     with pytest.raises(ValueError):
         TorusTiling(2, 2, ((0, 1), (1,)))
 

@@ -161,8 +161,8 @@ def test_parsed_tileset_is_the_checked_library_one(scratch, case):
     f = scratch / "diff.tiles"
     f.write_text(text)
     ts = parse_tileset(f)
-    # an allowed-mode set is built from its tables; only the forbidden complement is given its patterns
-    assert ("allowed" in vars(ts)) == (mode == "forbidden")
+    # both modes build the set from its key tables, so no pattern is made before allowed is read
+    assert "allowed" not in vars(ts)
     assert ts == expected and hash(ts) == hash(expected)
     assert ts.shapes == expected.shapes
     assert ts.shape_cells == expected.shape_cells

@@ -108,8 +108,10 @@ def corpus_calls() -> list[list[str]]:
     corpus/outcomes: an empty and an unknown classify answer, an empty torus
     listing, tokens that JSON escapes, a forbidden-mode file, a witness found
     only in the transposed orientation, a malformed tile-set file and a
-    malformed plane (both exit 2), and `order --dot`; and `patterns` on each
-    file of BAD_TILESETS (exit 2)."""
+    malformed plane (both exit 2), and `order --dot`; the four tile-set
+    subcommands on two more forbidden-mode files, one with a 2 x 2 rule and
+    one whose hpair shape is forbidden entirely, so its complement is empty;
+    and `patterns` on each file of BAD_TILESETS (exit 2)."""
     stripes, sets = str(CORPUS / "stripes.tiles"), [str(CORPUS / n) for n in ("stripes.tiles", "checkerboard.tiles")]
     planes = sorted((CORPUS / "family").glob("*.pres")) + sorted((CORPUS / "invalid").glob("*.pres"))
     calls = [[cmd, stripes, str(p)] for p in planes for cmd in ("validate", "analyze")]
@@ -123,6 +125,10 @@ def corpus_calls() -> list[list[str]]:
     dies, cycle, hard, rows, escaped, bad, bad_plane = (str(OUTCOMES / n) for n in (
         "dies_at_3.tiles", "four_cycle.tiles", "hard_squares.tiles", "constant_rows.tiles", "escaped_tokens.tiles",
         "bad_token.tiles", "bad_row.pres"))
+    for forbidden in (str(OUTCOMES / n) for n in ("forbidden_square.tiles", "forbidden_row.tiles")):
+        calls += [["patterns", forbidden, "--size", "2"], ["patterns", forbidden, "--size", "3", "--count"],
+                  ["torus", forbidden, "--max-p", "3", "--max-q", "3"], ["classify", forbidden, "--budget", "3"],
+                  ["weak-periodic", forbidden, "--max-period", "2"]]
     calls += [["classify", dies, "--budget", "4"], ["torus", dies, "--max-p", "3", "--max-q", "3"],
               ["torus", escaped, "--max-p", "3", "--max-q", "3"], ["classify", escaped, "--budget", "3"],
               ["patterns", escaped, "--size", "2"], ["classify", cycle, "--budget", "3"],
