@@ -2,14 +2,31 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass
 from itertools import accumulate, product
-
-import networkx as nx
 
 from .core import TileSet, TorusTiling
 from .lang import TransferGraph, build_transfer_graph, iter_admissible_squares
 from .presentation import Block, GridPresentation, is_valid, period_lattice, transpose
+
+
+def _lazy_import(name: str):
+    """Module name, registered in sys.modules but run only at its first attribute access
+    (importlib.util.LazyLoader).  A module already imported is reused; a missing or blocked
+    one raises ModuleNotFoundError here, as a plain import would."""
+    spec = None if name in sys.modules else importlib.util.find_spec(name)
+    if spec is None:
+        return importlib.import_module(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+nx = _lazy_import("networkx")  # only _two_cycles and _shortest_cycle run it
 
 
 @dataclass(frozen=True)
@@ -177,9 +194,38 @@ def _shortest_cycle(graph: nx.DiGraph, v: int) -> tuple:
     return tuple(paths[u])
 
 
-def _two_cycles(g: TransferGraph) -> tuple | None:
-    """Two distinct cycles c1, c2 of g and a shortest path from c1[0] to
-    c2[0], as vertex-index tuples, or None.
+def _essential_edges(g: TransferGraph) -> list[tuple[int, int]] | None:
+    """The edges of g's essential part, or None when no vertex of it has two successors.
+
+    The essential part (Lind and Marcus, Symbolic Dynamics and Coding, 2.2) is what is left
+    after dropping, again and again, every vertex with no predecessor or no successor left:
+    the vertices on bi-infinite walks.  If each has one successor left, it is disjoint cycles
+    and every bi-infinite walk is periodic.  A vertex with two, entered from a cycle, goes on
+    into two walks with the same left half, and a periodic walk is fixed by its left half.
+    """
+    n = len(g.vertices)
+    succ, pred = [[] for _ in range(n)], [[] for _ in range(n)]
+    for a, b in g.edges:
+        succ[a].append(b)
+        pred[b].append(a)
+    outs, ins = [len(s) for s in succ], [len(p) for p in pred]  # successors, predecessors left
+    alive = [o > 0 and i > 0 for o, i in zip(outs, ins)]
+    dropped = [v for v in range(n) if not alive[v]]
+    for v in dropped:  # grows while it is read
+        for ends, left in ((pred[v], outs), (succ[v], ins)):
+            for u in ends:
+                left[u] -= 1
+                if alive[u] and not left[u]:
+                    alive[u] = False
+                    dropped.append(u)
+    if all(d < 2 for d, a in zip(outs, alive) if a):
+        return None
+    return [(a, b) for a, b in g.edges if alive[a] and alive[b]]
+
+
+def _two_cycles(edges: list[tuple[int, int]]) -> tuple | None:
+    """Two distinct cycles c1, c2 of the graph with these edges and a
+    shortest path from c1[0] to c2[0], as vertex-index tuples, or None.
 
     The walk shift of a graph has a non-periodic point exactly when some
     cyclic SCC is more than one cycle or a path leads from one cyclic SCC to
@@ -188,14 +234,13 @@ def _two_cycles(g: TransferGraph) -> tuple | None:
     else the shortest cycle of the least cyclic SCC reachable from v.
     """
     graph = nx.DiGraph()
-    graph.add_nodes_from(range(len(g.vertices)))
-    graph.add_edges_from(g.edges)
+    graph.add_edges_from(edges)
     root = {v: min(c) for c in nx.strongly_connected_components(graph) for v in c}
-    cyclic = sorted({root[a] for a, b in g.edges if root[a] == root[b]})
+    cyclic = sorted({root[a] for a, b in edges if root[a] == root[b]})
     for v in cyclic:
         c1 = _shortest_cycle(graph, v)
         on_c1 = set(zip(c1, c1[1:] + c1[:1]))
-        extra = next(((a, b) for a, b in g.edges if root[a] == root[b] == v and (a, b) not in on_c1), None)
+        extra = next(((a, b) for a, b in edges if root[a] == root[b] == v and (a, b) not in on_c1), None)
         if extra is not None:
             c2 = tuple(nx.shortest_path(graph, extra[1], extra[0]))
         else:
@@ -232,6 +277,16 @@ def weak_periodic_witness(ts: TileSet, maxq: int) -> GridPresentation | None:
     were the plane horizontally periodic, its left tail (c1 repeated) would
     fix the whole column sequence, and c2 would be a rotation of c1.  Heights
     are tried in increasing order, the given orientation before the transpose.
+
+    A height has a witness exactly when some vertex of the graph's essential
+    part has two successors there (_essential_edges), and only then are the
+    cycles searched, on the essential part alone.  The witness is the one the
+    whole graph gives: every vertex on a cycle, and every vertex reached from
+    a cycle that reaches another, is essential, while a vertex reached from a
+    cycle that is not essential reaches no essential vertex.  So the cyclic
+    components, their edges in edge order and the breadth-first searches from
+    cycle vertices (hence the shortest paths and their tie-breaks) are the
+    same on both graphs.
     """
     if maxq < 1:
         raise ValueError("maxq must be positive")
@@ -239,10 +294,10 @@ def weak_periodic_witness(ts: TileSet, maxq: int) -> GridPresentation | None:
     for q in range(1, maxq + 1):
         for oriented, flipped in orientations:
             g = build_transfer_graph(oriented, q, wrap=True)
-            found = _two_cycles(g)
-            if found is None:
+            edges = _essential_edges(g)
+            if edges is None:
                 continue
-            pres = _witness_presentation(oriented, g, *found)
+            pres = _witness_presentation(oriented, g, *_two_cycles(edges))
             if flipped:
                 pres = transpose(pres)
             if not is_valid(pres, ts):

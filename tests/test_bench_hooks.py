@@ -5,7 +5,8 @@ tilelab would break the traced run without failing any other test, so the
 targets are checked here; bench/spans.py is read, not changed.  The traced
 run imports tilelab.cli and then looks every target module up in
 sys.modules, third-party ones (networkx) included, so that import alone must
-load them all.
+register them all.  networkx is registered lazily: its package runs at the
+first attribute lookup, which the tracer's own lookup of a target makes.
 
 bench/worker.py's lookup of tilelab.presentation._ANALYSES finds nothing:
 a plane's scan index is an attribute of the plane and dies with it, so calls

@@ -1,5 +1,10 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -199,7 +204,7 @@ def test_witness_layout_reads_the_walks():
         ts = _rules_tileset(nstates, _random_rules(rng, nstates, extra))
         for q, oriented in product((1, 2, 3), (ts, ts.transpose())):
             g = build_transfer_graph(oriented, q, wrap=True)
-            found = solver._two_cycles(g)
+            found = solver._two_cycles(g.edges)
             if found is None:
                 continue
             c1, c2, path = found
@@ -217,3 +222,83 @@ def test_witness_layout_reads_the_walks():
             seen.add((m == 0, g.cols))
     # a witness with no inner bridge, one with a bridge, and a row3 set's 2-column vertices
     assert {(True, 1), (False, 1), (False, 2)} <= seen
+
+
+def test_the_essential_part_decides_weak_periodicity():
+    """The trim's decision equals the cycle search's on the whole graph, and
+    the cycle search on the essential part returns the same tuples, over
+    seeded sparse and dense 2-4 state domino sets in both orientations."""
+    seen = set()
+    for seed, density in product(range(30), (0.2, 0.3, 0.7, 0.9)):
+        rng = random.Random(f"essential/{seed}/{density}")
+        nstates = rng.choice((2, 3, 4))
+        keys = list(product(range(nstates), repeat=2))
+        rules = tuple((offsets, frozenset(k for k in keys if rng.random() < density) or frozenset([rng.choice(keys)]))
+                      for offsets in (((0, 0), (1, 0)), ((0, 0), (0, 1))))
+        ts = _rules_tileset(nstates, rules)
+        for q, oriented in product((1, 2, 3, 4), (ts, ts.transpose())):
+            g = build_transfer_graph(oriented, q, wrap=True)
+            edges = solver._essential_edges(g)
+            whole = solver._two_cycles(g.edges)
+            assert (edges is not None) == (whole is not None), (seed, density, q)
+            if edges is not None:
+                assert solver._two_cycles(edges) == whole, (seed, density, q)
+                assert len(edges) <= len(g.edges)
+            seen.add((whole is not None, edges is not None and len(edges) < len(g.edges)))
+    # no witness, a witness on the whole graph, and one on a strictly smaller essential part
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# run in a fresh interpreter with the argv as JSON on stdin: the call's exit code
+# and stdout, and whether networkx's package had run before and after it
+_LAZY_NETWORKX = """
+import contextlib, io, json, sys
+import tilelab.cli
+ran_at_import = "networkx.classes" in sys.modules
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = tilelab.cli.main(json.load(sys.stdin))
+print(json.dumps({"registered": "networkx" in sys.modules, "ran_at_import": ran_at_import,
+                  "ran": "networkx.classes" in sys.modules, "code": code, "stdout": out.getvalue()}))
+"""
+
+
+def _fresh(code: str, stdin: str = "", before: str = ""):
+    """Run `before`, then `code`, in a fresh interpreter that finds tilelab in src/."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", before + code], input=stdin, capture_output=True, text=True, env=env)
+
+
+def test_networkx_runs_only_at_a_height_with_a_witness():
+    """Importing the CLI registers networkx without running its package; a
+    weak-periodic call that finds no witness leaves it unrun, and one that
+    finds a witness runs it and prints what an eagerly imported networkx gives."""
+    none = ["weak-periodic", str(ROOT / "corpus" / "outcomes" / "four_cycle.tiles"), "--max-period", "6"]
+    some = ["weak-periodic", str(ROOT / "corpus" / "stripes.tiles"), "--max-period", "2"]
+    got = [json.loads(_fresh(_LAZY_NETWORKX, json.dumps(argv)).stdout) for argv in (none, some)]
+    assert [(r["registered"], r["ran_at_import"], r["ran"], r["code"]) for r in got] == [
+        (True, False, False, 1), (True, False, True, 0)]
+    eager = json.loads(_fresh(_LAZY_NETWORKX, json.dumps(some), before="import networkx\n").stdout)
+    assert eager["ran_at_import"] and eager["code"] == 0
+    assert got[1]["stdout"] == eager["stdout"] and '"found": true' in eager["stdout"]
+
+
+def test_an_imported_networkx_is_reused():
+    res = _fresh("import sys, types\nimport tilelab.solver as s\n"
+                 "print(s.nx is sys.modules['networkx'] is networkx, type(s.nx) is types.ModuleType)\n",
+                 before="import networkx\n")
+    assert res.stdout == "True True\n", res.stderr
+
+
+@pytest.mark.parametrize("before, message", [
+    ("import sys\nsys.modules['networkx'] = None\n", "import of networkx halted; None in sys.modules"),
+    ("import importlib.util, site, sys\nsys.path[:] = [p for p in sys.path if p not in site.getsitepackages()]\n"
+     "sys.path_importer_cache.clear()\nassert importlib.util.find_spec('networkx') is None\n",
+     "No module named 'networkx'"),
+], ids=["blocked", "missing"])
+def test_a_blocked_or_missing_networkx_fails_the_import(before, message):
+    res = _fresh("import tilelab\n", before=before)
+    assert res.returncode == 1
+    assert res.stderr.splitlines()[-1] == f"ModuleNotFoundError: {message}"

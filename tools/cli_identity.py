@@ -107,7 +107,8 @@ def corpus_calls() -> list[list[str]]:
     outcomes that these calls do not reach, on the small sets of
     corpus/outcomes: an empty and an unknown classify answer, an empty torus
     listing, tokens that JSON escapes, a forbidden-mode file, a witness found
-    only in the transposed orientation, a malformed tile-set file and a
+    only in the transposed orientation, a nonempty set with no witness up to
+    height 6 (every tiling periodic), a malformed tile-set file and a
     malformed plane (both exit 2), and `order --dot`; the four tile-set
     subcommands on two more forbidden-mode files, one with a 2 x 2 rule and
     one whose hpair shape is forbidden entirely, so its complement is empty;
@@ -133,6 +134,7 @@ def corpus_calls() -> list[list[str]]:
               ["torus", escaped, "--max-p", "3", "--max-q", "3"], ["classify", escaped, "--budget", "3"],
               ["patterns", escaped, "--size", "2"], ["classify", cycle, "--budget", "3"],
               ["torus", cycle, "--max-p", "4", "--max-q", "2"], ["patterns", cycle, "--size", "5", "--count"],
+              ["weak-periodic", cycle, "--max-period", "6"],
               ["patterns", hard, "--size", "3"], ["patterns", hard, "--size", "4", "--count"],
               ["classify", hard, "--budget", "3"], ["weak-periodic", rows, "--max-period", "2"],
               ["validate", bad, str(CORPUS / "family" / "a1.pres")], ["torus", bad, "--max-p", "2", "--max-q", "2"],
